@@ -114,7 +114,9 @@ int usage() {
       "`gpufi submit ... --workers N` then fans the campaign out over up to\n"
       "N workers; the merged result is byte-identical to the offline run\n"
       "for any worker count, including after worker failures (lost shards\n"
-      "are retried on surviving workers).\n"
+      "are retried on surviving workers). `serve --workers N` bounds the\n"
+      "local shards only: a fanned-out job waits for the fleet without\n"
+      "holding a local executor.\n"
       "\n"
       "observability: --progress-interval N fires the progress callback\n"
       "every N trials (N >= 1; deterministic whatever --jobs), --trace-out\n"
@@ -848,8 +850,8 @@ int cmd_submit(int argc, char** argv) {
   spec.deadline_ms = o->deadline_ms;
   spec.progress_interval = o->progress_interval;
   spec.plan = o->plan;
-  // --workers on submit is the fabric fan-out width (0 = in-process); the
-  // daemon-side executor pool keeps its own `serve --workers` knob.
+  // --workers on submit is the fabric fan-out width (0 = one local shard);
+  // `serve --workers` is the daemon's local executor count.
   spec.workers = o->workers_set ? o->workers : 0;
   if (const auto err = serve::validate_spec(spec)) return usage_error(*err);
 
@@ -900,7 +902,7 @@ int cmd_status(int argc, char** argv) {
               s->golden_cache.misses);
   std::printf("fabric workers  %zu alive / %zu registered\n",
               s->fabric_workers_alive, s->fabric_workers_registered);
-  std::printf("fabric shards   %zu done, %zu in flight, %zu retried\n",
+  std::printf("shards          %zu done, %zu in flight, %zu retried\n",
               s->fabric_shards_completed, s->fabric_shards_inflight,
               s->fabric_shards_retried);
   return 0;

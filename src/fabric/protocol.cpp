@@ -1,26 +1,15 @@
 #include "fabric/protocol.hpp"
 
 #include <bit>
-#include <charconv>
-#include <cstring>
+#include <type_traits>
 #include <utility>
 
 namespace gpufi::fabric {
 
 namespace {
 
-// --- writers ---------------------------------------------------------------
-
-void put_kv(std::string& out, std::string_view key, std::string_view value) {
-  out += key;
-  out += '=';
-  out += value;
-  out += '\n';
-}
-
-void put_kv(std::string& out, std::string_view key, std::uint64_t value) {
-  put_kv(out, key, std::to_string(value));
-}
+using serve::KvReader;
+using serve::put_kv;
 
 /// Doubles cross the wire as IEEE-754 bit patterns: text formatting (even
 /// max_digits10) is a round-trip risk the byte-identity contract cannot
@@ -28,113 +17,58 @@ void put_kv(std::string& out, std::string_view key, std::uint64_t value) {
 std::uint64_t double_bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 double bits_double(std::uint64_t b) { return std::bit_cast<double>(b); }
 
-// --- readers ---------------------------------------------------------------
-
-/// Line cursor over a payload. Every take_* advances; any malformed input
-/// flips `ok` and makes the remaining takes no-ops, so decoders check once
-/// at the end (or early where the control flow needs a count).
-struct Cursor {
-  std::string_view rest;
-  bool ok = true;
-  std::string error;
-
-  void fail(std::string msg) {
-    if (ok) {
-      ok = false;
-      error = std::move(msg);
-    }
-  }
-
-  std::string_view take_line() {
-    if (!ok) return {};
-    const auto nl = rest.find('\n');
-    if (nl == std::string_view::npos) {
-      fail("truncated payload");
-      return {};
-    }
-    const auto line = rest.substr(0, nl);
-    rest.remove_prefix(nl + 1);
-    return line;
-  }
-
-  /// "key=value" line with an exact key match; returns the value.
-  std::string_view take_kv(std::string_view key) {
-    const auto line = take_line();
-    if (!ok) return {};
-    if (line.size() < key.size() + 1 || line.substr(0, key.size()) != key ||
-        line[key.size()] != '=') {
-      fail("expected key '" + std::string(key) + "'");
-      return {};
-    }
-    return line.substr(key.size() + 1);
-  }
-
-  std::uint64_t take_u64(std::string_view key) {
-    return parse_u64(take_kv(key));
-  }
-
-  std::uint64_t parse_u64(std::string_view s) {
-    if (!ok) return 0;
-    std::uint64_t v = 0;
-    const auto [p, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-    if (ec != std::errc{} || p != s.data() + s.size()) {
-      fail("bad number: '" + std::string(s) + "'");
-      return 0;
-    }
-    return v;
-  }
-};
-
 /// Space-separated field scanner for the packed per-record lines.
 struct Fields {
   std::string_view rest;
-  Cursor* c;
+  KvReader* c;
 
-  std::uint64_t next() {
-    if (!c->ok) return 0;
+  std::string_view token() {
     while (!rest.empty() && rest.front() == ' ') rest.remove_prefix(1);
     const auto sp = rest.find(' ');
     const auto tok = rest.substr(0, sp);
     rest = sp == std::string_view::npos ? std::string_view{}
                                         : rest.substr(sp + 1);
-    return c->parse_u64(tok);
+    return tok;
   }
 
+  std::uint64_t next() { return c->u64(token()); }
+
   std::int64_t next_i64() {
-    if (!c->ok) return 0;
-    while (!rest.empty() && rest.front() == ' ') rest.remove_prefix(1);
-    const bool neg = !rest.empty() && rest.front() == '-';
-    if (neg) rest.remove_prefix(1);
-    const auto v = static_cast<std::int64_t>(next());
-    return neg ? -v : v;
+    const auto tok = token();
+    const auto v = serve::parse_i64(tok);
+    if (!v) c->fail("bad number: '" + std::string(tok) + "'");
+    return v.value_or(0);
   }
 
   void done() {
-    if (!c->ok) return;
     while (!rest.empty() && rest.front() == ' ') rest.remove_prefix(1);
     if (!rest.empty()) c->fail("trailing record fields");
   }
 };
 
 template <class Enum>
-Enum take_enum(Cursor& c, std::uint64_t raw, std::uint64_t n_values,
+Enum take_enum(KvReader& c, std::uint64_t raw, std::uint64_t n_values,
                const char* what) {
   if (raw >= n_values) c.fail(std::string("bad ") + what);
   return static_cast<Enum>(raw);
 }
 
-/// Splits "header\n<marker>\n<raw tail>" and returns the tail; the header
-/// lines before the marker stay in `c`.
-std::string_view split_tail(std::string_view payload, std::string_view marker,
-                            Cursor& c) {
+/// Splits "header\n<marker>\n<raw tail>": the header lines before the
+/// marker (with their final '\n') go to `head`, the raw bytes to `tail`.
+bool split_tail(std::string_view payload, std::string_view marker,
+                std::string_view& head, std::string_view& tail) {
   const std::string needle = "\n" + std::string(marker) + "\n";
   const auto at = payload.find(needle);
-  if (at == std::string_view::npos) {
-    c.fail("missing " + std::string(marker) + " marker");
-    return {};
-  }
-  c.rest = payload.substr(0, at + 1);  // keep the trailing '\n' for take_line
-  return payload.substr(at + needle.size());
+  if (at == std::string_view::npos) return false;
+  head = payload.substr(0, at + 1);
+  tail = payload.substr(at + needle.size());
+  return true;
+}
+
+/// Fills `error` from a failed reader; nullopt for the caller to return.
+std::nullopt_t failed(const KvReader& c, std::string* error) {
+  if (error) *error = c.error();
+  return std::nullopt;
 }
 
 constexpr std::string_view kSpecMarker = "--- spec ---";
@@ -161,12 +95,12 @@ std::string encode_hello(const Hello& h) {
 }
 
 std::optional<Hello> decode_hello(std::string_view payload) {
-  Cursor c{payload};
+  KvReader c(payload);
   Hello h;
   h.version = static_cast<std::uint32_t>(c.take_u64("version"));
-  h.name = std::string(c.take_kv("name"));
+  h.name = std::string(c.take("name"));
   h.pid = c.take_u64("pid");
-  if (!c.ok || !c.rest.empty()) return std::nullopt;
+  if (!c.ok() || !c.at_end()) return std::nullopt;
   return h;
 }
 
@@ -186,8 +120,10 @@ std::string encode_shard_request(const ShardRequest& r) {
 
 std::optional<ShardRequest> decode_shard_request(std::string_view payload,
                                                  std::string* error) {
-  Cursor c{};
-  const auto spec_bytes = split_tail(payload, kSpecMarker, c);
+  std::string_view head, spec_bytes;
+  const bool marked = split_tail(payload, kSpecMarker, head, spec_bytes);
+  KvReader c(head);
+  if (!marked) c.fail("missing spec marker");
   ShardRequest r;
   r.job = c.take_u64("job");
   r.shard_index = static_cast<std::uint32_t>(c.take_u64("shard"));
@@ -195,61 +131,66 @@ std::optional<ShardRequest> decode_shard_request(std::string_view payload,
   r.trial_offset = c.take_u64("offset");
   r.trial_count = c.take_u64("count");
   r.final_payload = c.take_u64("final") != 0;
-  if (c.ok && !c.rest.empty()) c.fail("unexpected shard-request key");
-  if (c.ok) {
-    std::string spec_err;
+  if (!c.at_end()) c.fail("unexpected shard-request key");
+  std::string spec_err;
+  if (c.ok()) {
     if (const auto spec = serve::decode_spec(spec_bytes, &spec_err))
       r.spec = *spec;
     else
       c.fail("bad spec: " + spec_err);
   }
-  if (!c.ok) {
-    if (error) *error = c.error;
-    return std::nullopt;
-  }
+  if (!c.ok()) return failed(c, error);
   return r;
 }
 
-std::string encode_shard_result(const ShardResultMsg& m) {
+namespace {
+
+/// ShardResult and ShardError share one shape: the job and shard ids, then
+/// a marker line and raw bytes (a payload or an error text).
+std::string encode_reply(std::uint64_t job, std::uint32_t shard,
+                         std::string_view marker, std::string_view tail) {
   std::string out;
-  put_kv(out, "job", m.job);
-  put_kv(out, "shard", m.shard_index);
-  out += kPayloadMarker;
+  put_kv(out, "job", job);
+  put_kv(out, "shard", shard);
+  out += marker;
   out += '\n';
-  out += m.payload;
+  out += tail;
   return out;
+}
+
+template <class Msg>
+std::optional<Msg> decode_reply(std::string_view payload,
+                                std::string_view marker) {
+  std::string_view head, tail;
+  if (!split_tail(payload, marker, head, tail)) return std::nullopt;
+  KvReader c(head);
+  Msg m;
+  m.job = c.take_u64("job");
+  m.shard_index = static_cast<std::uint32_t>(c.take_u64("shard"));
+  if (!c.ok() || !c.at_end()) return std::nullopt;
+  if constexpr (std::is_same_v<Msg, ShardResultMsg>)
+    m.payload = std::string(tail);
+  else
+    m.error = std::string(tail);
+  return m;
+}
+
+}  // namespace
+
+std::string encode_shard_result(const ShardResultMsg& m) {
+  return encode_reply(m.job, m.shard_index, kPayloadMarker, m.payload);
 }
 
 std::optional<ShardResultMsg> decode_shard_result(std::string_view payload) {
-  Cursor c{};
-  const auto tail = split_tail(payload, kPayloadMarker, c);
-  ShardResultMsg m;
-  m.job = c.take_u64("job");
-  m.shard_index = static_cast<std::uint32_t>(c.take_u64("shard"));
-  if (!c.ok || !c.rest.empty()) return std::nullopt;
-  m.payload = std::string(tail);
-  return m;
+  return decode_reply<ShardResultMsg>(payload, kPayloadMarker);
 }
 
 std::string encode_shard_error(const ShardErrorMsg& m) {
-  std::string out;
-  put_kv(out, "job", m.job);
-  put_kv(out, "shard", m.shard_index);
-  out += kErrorMarker;
-  out += '\n';
-  out += m.error;
-  return out;
+  return encode_reply(m.job, m.shard_index, kErrorMarker, m.error);
 }
 
 std::optional<ShardErrorMsg> decode_shard_error(std::string_view payload) {
-  Cursor c{};
-  const auto tail = split_tail(payload, kErrorMarker, c);
-  ShardErrorMsg m;
-  m.job = c.take_u64("job");
-  m.shard_index = static_cast<std::uint32_t>(c.take_u64("shard"));
-  if (!c.ok || !c.rest.empty()) return std::nullopt;
-  m.error = std::string(tail);
-  return m;
+  return decode_reply<ShardErrorMsg>(payload, kErrorMarker);
 }
 
 std::string encode_shard_progress(const ShardProgressMsg& m) {
@@ -263,13 +204,13 @@ std::string encode_shard_progress(const ShardProgressMsg& m) {
 
 std::optional<ShardProgressMsg> decode_shard_progress(
     std::string_view payload) {
-  Cursor c{payload};
+  KvReader c(payload);
   ShardProgressMsg m;
   m.job = c.take_u64("job");
   m.shard_index = static_cast<std::uint32_t>(c.take_u64("shard"));
   m.done = c.take_u64("done");
   m.total = c.take_u64("total");
-  if (!c.ok || !c.rest.empty()) return std::nullopt;
+  if (!c.ok() || !c.at_end()) return std::nullopt;
   return m;
 }
 
@@ -375,7 +316,7 @@ std::string encode_rtl_partial(const rtlfi::CampaignResult& r) {
 
 std::optional<rtlfi::CampaignResult> decode_rtl_partial(
     std::string_view payload, std::string* error) {
-  Cursor c{payload};
+  KvReader c(payload);
   rtlfi::CampaignResult r;
   if (c.take_u64("v") != 1) c.fail("unknown rtl partial version");
   r.injected = c.take_u64("injected");
@@ -386,9 +327,9 @@ std::optional<rtlfi::CampaignResult> decode_rtl_partial(
   r.golden_cycles = c.take_u64("golden_cycles");
   r.converged_early = c.take_u64("converged_early");
   const auto n_records = c.take_u64("records");
-  for (std::uint64_t i = 0; c.ok && i < n_records; ++i) {
+  for (std::uint64_t i = 0; c.ok() && i < n_records; ++i) {
     rtlfi::InjectionRecord rec;
-    Fields f{c.take_kv("r"), &c};
+    Fields f{c.take("r"), &c};
     rec.fault.module = take_enum<rtl::Module>(c, f.next(), rtl::kNumModules,
                                               "module");
     rec.fault.bit = static_cast<std::uint32_t>(f.next());
@@ -416,11 +357,11 @@ std::optional<rtlfi::CampaignResult> decode_rtl_partial(
     rec.site.unit_busy = f.next() != 0;
     const auto n_diffs = f.next();
     f.done();
-    rec.field = std::string(c.take_kv("f"));
-    rec.due_reason = std::string(c.take_kv("w"));
-    for (std::uint64_t j = 0; c.ok && j < n_diffs; ++j) {
+    rec.field = std::string(c.take("f"));
+    rec.due_reason = std::string(c.take("w"));
+    for (std::uint64_t j = 0; c.ok() && j < n_diffs; ++j) {
       rtlfi::ElementDiff d;
-      Fields df{c.take_kv("d"), &c};
+      Fields df{c.take("d"), &c};
       d.index = static_cast<std::uint32_t>(df.next());
       d.golden = static_cast<std::uint32_t>(df.next());
       d.faulty = static_cast<std::uint32_t>(df.next());
@@ -432,8 +373,8 @@ std::optional<rtlfi::CampaignResult> decode_rtl_partial(
     r.records.push_back(std::move(rec));
   }
   const auto n_attrs = c.take_u64("attrs");
-  for (std::uint64_t i = 0; c.ok && i < n_attrs; ++i) {
-    Fields f{c.take_kv("a"), &c};
+  for (std::uint64_t i = 0; c.ok() && i < n_attrs; ++i) {
+    Fields f{c.take("a"), &c};
     attr::SiteKey key;
     key.live = f.next() != 0;
     key.pc = f.next();
@@ -446,14 +387,11 @@ std::optional<rtlfi::CampaignResult> decode_rtl_partial(
     counts.due = f.next();
     for (auto& n : counts.due_by_reason) n = f.next();
     f.done();
-    if (c.ok && !r.attribution.emplace(key, counts).second)
+    if (c.ok() && !r.attribution.emplace(key, counts).second)
       c.fail("duplicate attribution site");
   }
-  if (c.ok && !c.rest.empty()) c.fail("trailing rtl partial bytes");
-  if (!c.ok) {
-    if (error) *error = c.error;
-    return std::nullopt;
-  }
+  if (!c.at_end()) c.fail("trailing rtl partial bytes");
+  if (!c.ok()) return failed(c, error);
   return r;
 }
 
@@ -497,7 +435,7 @@ std::string encode_sw_partial(const swfi::Result& r) {
 
 std::optional<swfi::Result> decode_sw_partial(std::string_view payload,
                                               std::string* error) {
-  Cursor c{payload};
+  KvReader c(payload);
   swfi::Result r;
   if (c.take_u64("v") != 1) c.fail("unknown sw partial version");
   r.injections = c.take_u64("injections");
@@ -506,16 +444,17 @@ std::optional<swfi::Result> decode_sw_partial(std::string_view payload,
   r.due = c.take_u64("due");
   r.candidate_instructions = c.take_u64("candidates");
   {
-    Fields f{c.take_kv("pc_counts"), &c};
+    Fields f{c.take("pc_counts"), &c};
     const auto n = f.next();
-    r.pc_exec_counts.reserve(n);
-    for (std::uint64_t i = 0; c.ok && i < n; ++i)
+    // Each count takes at least two bytes: a larger n is a lie, not a size.
+    if (n > f.rest.size()) c.fail("bad pc_counts length");
+    for (std::uint64_t i = 0; c.ok() && i < n; ++i)
       r.pc_exec_counts.push_back(f.next());
     f.done();
   }
   const auto n_sites = c.take_u64("sites");
-  for (std::uint64_t i = 0; c.ok && i < n_sites; ++i) {
-    Fields f{c.take_kv("s"), &c};
+  for (std::uint64_t i = 0; c.ok() && i < n_sites; ++i) {
+    Fields f{c.take("s"), &c};
     const auto pc = static_cast<std::int32_t>(f.next_i64());
     const auto op = take_enum<isa::Opcode>(c, f.next(), kNumOpcodes, "opcode");
     swfi::SwSiteCounts counts;
@@ -524,14 +463,11 @@ std::optional<swfi::Result> decode_sw_partial(std::string_view payload,
     counts.sdc = f.next();
     counts.due = f.next();
     f.done();
-    if (c.ok && !r.sites.emplace(std::make_pair(pc, op), counts).second)
+    if (c.ok() && !r.sites.emplace(std::make_pair(pc, op), counts).second)
       c.fail("duplicate sw site");
   }
-  if (c.ok && !c.rest.empty()) c.fail("trailing sw partial bytes");
-  if (!c.ok) {
-    if (error) *error = c.error;
-    return std::nullopt;
-  }
+  if (!c.at_end()) c.fail("trailing sw partial bytes");
+  if (!c.ok()) return failed(c, error);
   return r;
 }
 

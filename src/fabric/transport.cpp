@@ -38,7 +38,7 @@ int listen_unix(const std::string& path, int backlog) {
     throw std::runtime_error("unix socket path too long: " + path);
   std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
 
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) throw_errno("socket(unix)");
   ::unlink(path.c_str());  // a stale file from a dead process would EADDRINUSE
   if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) < 0) {
@@ -58,7 +58,7 @@ int listen_unix(const std::string& path, int backlog) {
 }
 
 int listen_tcp(const std::string& host, std::uint16_t port, int backlog) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) throw_errno("socket(tcp)");
   const int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
@@ -103,7 +103,7 @@ int connect_unix(const std::string& path) {
     return -1;
   }
   std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) return -1;
   if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) <
       0) {
@@ -131,7 +131,7 @@ int connect_tcp(const std::string& host, std::uint16_t port) {
     addr.sin_addr = reinterpret_cast<sockaddr_in*>(res->ai_addr)->sin_addr;
     ::freeaddrinfo(res);
   }
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) return -1;
   // Shard frames are request/response sized, not a bulk stream: favor
   // latency over coalescing.

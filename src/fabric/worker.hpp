@@ -67,8 +67,9 @@ class Worker {
  private:
   void run_loop();
   void heartbeat_loop();
-  /// Executes one shard; returns the result payload (partial codec, or the
-  /// public Result payload for final_payload shards).
+  /// Executes one shard through serve::run_spec; returns the result
+  /// payload (partial codec, or the public Result payload for
+  /// final_payload shards).
   std::string execute(const ShardRequest& req);
   bool send(serve::FrameType type, std::string payload);
 

@@ -17,8 +17,7 @@
 // Determinism contract: observability is strictly read-only with respect to
 // campaign computation. No metric, span or sink ever feeds a value back into
 // a trial, so Result payloads and syndrome-DB bytes are byte-identical with
-// observability enabled, runtime-disabled (set_enabled(false)) or compiled
-// out (-DGPUFI_OBS_DISABLED via the GPUFI_OBS=OFF CMake option).
+// observability enabled or runtime-disabled (set_enabled(false)).
 
 #include <atomic>
 #include <cstdint>
@@ -31,14 +30,6 @@
 
 namespace gpufi::obs {
 
-/// False when the library was compiled out (GPUFI_OBS=OFF): enabled() is a
-/// constant false and every hot-path helper folds to a no-op.
-#if defined(GPUFI_OBS_DISABLED)
-inline constexpr bool kCompiledIn = false;
-#else
-inline constexpr bool kCompiledIn = true;
-#endif
-
 namespace detail {
 extern std::atomic<bool> g_enabled;
 }  // namespace detail
@@ -46,7 +37,6 @@ extern std::atomic<bool> g_enabled;
 /// Runtime master switch (default on). Disabled, every count/observe/span is
 /// an early-return; campaign results are identical either way.
 inline bool enabled() noexcept {
-  if constexpr (!kCompiledIn) return false;
   return detail::g_enabled.load(std::memory_order_relaxed);
 }
 void set_enabled(bool on) noexcept;

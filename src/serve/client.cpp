@@ -1,32 +1,18 @@
 #include "serve/client.hpp"
 
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
 
+#include "fabric/transport.hpp"
+
 namespace gpufi::serve {
 
 int connect_socket(const std::string& socket_path) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (socket_path.size() >= sizeof(addr.sun_path)) {
-    errno = ENAMETOOLONG;
-    return -1;
-  }
-  std::memcpy(addr.sun_path, socket_path.c_str(), socket_path.size() + 1);
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) return -1;
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) <
-      0) {
-    const int saved = errno;
-    ::close(fd);
-    errno = saved;
-    return -1;
-  }
-  return fd;
+  fabric::Endpoint ep;
+  ep.path = socket_path;
+  return fabric::connect_endpoint(ep);
 }
 
 SubmitOutcome submit_campaign(

@@ -4,7 +4,7 @@
 #include <sys/types.h>
 
 #include <cerrno>
-#include <cstring>
+#include <charconv>
 #include <iomanip>
 #include <limits>
 #include <sstream>
@@ -30,7 +30,25 @@ std::uint32_t get_u32_le(const char* p) {
   return b(0) | (b(1) << 8) | (b(2) << 16) | (b(3) << 24);
 }
 
-/// Appends one "key=value\n" line; values must be newline-free.
+/// Lossless double formatting (round-trips bit-exactly through
+/// parse_number<double>).
+std::string fmt_double(double v) {
+  std::ostringstream os;
+  os << std::setprecision(std::numeric_limits<double>::max_digits10) << v;
+  return os.str();
+}
+
+template <class T>
+std::optional<T> parse_number(std::string_view s) {
+  T v{};
+  const auto [p, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (s.empty() || ec != std::errc{} || p != s.data() + s.size())
+    return std::nullopt;
+  return v;
+}
+
+}  // namespace
+
 void put_kv(std::string& out, std::string_view key, std::string_view value) {
   if (value.find('\n') != std::string_view::npos)
     throw std::invalid_argument("newline in protocol value for key '" +
@@ -45,70 +63,55 @@ void put_kv(std::string& out, std::string_view key, std::uint64_t value) {
   put_kv(out, key, std::to_string(value));
 }
 
-/// Lossless double formatting (round-trips bit-exactly through strtod).
-std::string fmt_double(double v) {
-  std::ostringstream os;
-  os << std::setprecision(std::numeric_limits<double>::max_digits10) << v;
-  return os.str();
+std::optional<std::uint64_t> parse_u64(std::string_view s) {
+  return parse_number<std::uint64_t>(s);
 }
 
-bool parse_u64(std::string_view s, std::uint64_t& out) {
-  if (s.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const std::string buf(s);
-  const unsigned long long v = std::strtoull(buf.c_str(), &end, 10);
-  if (errno != 0 || end != buf.c_str() + buf.size()) return false;
-  if (!buf.empty() && buf[0] == '-') return false;
-  out = v;
-  return true;
+std::optional<std::int64_t> parse_i64(std::string_view s) {
+  return parse_number<std::int64_t>(s);
 }
 
-bool parse_i64(std::string_view s, std::int64_t& out) {
-  if (s.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const std::string buf(s);
-  const long long v = std::strtoll(buf.c_str(), &end, 10);
-  if (errno != 0 || end != buf.c_str() + buf.size()) return false;
-  out = v;
-  return true;
+void KvReader::fail(std::string msg) {
+  if (!ok_) return;
+  ok_ = false;
+  error_ = std::move(msg);
 }
 
-bool parse_double(std::string_view s, double& out) {
-  if (s.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const std::string buf(s);
-  const double v = std::strtod(buf.c_str(), &end);
-  if (errno != 0 || end != buf.c_str() + buf.size()) return false;
-  out = v;
-  return true;
-}
-
-/// Iterates "key=value\n" lines; returns false (with `error`) on a malformed
-/// line or when `fn` rejects a key/value pair.
-bool for_each_kv(std::string_view payload, std::string* error,
-                 const std::function<bool(std::string_view, std::string_view,
-                                          std::string*)>& fn) {
-  std::size_t pos = 0;
-  while (pos < payload.size()) {
-    std::size_t eol = payload.find('\n', pos);
-    if (eol == std::string_view::npos) eol = payload.size();
-    const std::string_view line = payload.substr(pos, eol - pos);
-    pos = eol + 1;
-    if (line.empty()) continue;
-    const std::size_t eq = line.find('=');
-    if (eq == std::string_view::npos) {
-      if (error) *error = "malformed line (no '='): " + std::string(line);
-      return false;
-    }
-    if (!fn(line.substr(0, eq), line.substr(eq + 1), error)) return false;
+bool KvReader::next(std::string_view& key, std::string_view& value) {
+  if (!ok_ || rest_.empty()) return false;
+  const auto nl = rest_.find('\n');
+  const auto line = rest_.substr(0, nl);
+  const auto eq = line.find('=');
+  if (nl == std::string_view::npos) {
+    fail("truncated line: " + std::string(line));
+    return false;
   }
+  if (eq == std::string_view::npos) {
+    fail("malformed line (no '='): " + std::string(line));
+    return false;
+  }
+  rest_.remove_prefix(nl + 1);
+  key = line.substr(0, eq);
+  value = line.substr(eq + 1);
   return true;
 }
 
-}  // namespace
+std::string_view KvReader::take(std::string_view key) {
+  std::string_view k, v;
+  if (!next(k, v)) {
+    fail("expected key '" + std::string(key) + "'");
+    return {};
+  }
+  if (k != key) fail("expected key '" + std::string(key) + "'");
+  return v;
+}
+
+std::uint64_t KvReader::u64(std::string_view s) {
+  if (!ok_) return 0;
+  const auto v = parse_u64(s);
+  if (!v) fail("bad number: '" + std::string(s) + "'");
+  return v.value_or(0);
+}
 
 bool frame_type_valid(std::uint8_t t) {
   return t >= static_cast<std::uint8_t>(FrameType::Submit) &&
@@ -248,84 +251,53 @@ std::string encode_spec(const CampaignSpec& spec) {
 std::optional<CampaignSpec> decode_spec(std::string_view payload,
                                         std::string* error) {
   CampaignSpec spec;
-  const bool ok = for_each_kv(
-      payload, error,
-      [&](std::string_view key, std::string_view value, std::string* err) {
-        const auto fail = [&](const std::string& msg) {
-          if (err) *err = msg;
-          return false;
-        };
-        const auto number = [&](std::uint64_t& dst) {
-          std::uint64_t v = 0;
-          if (!parse_u64(value, v))
-            return fail("bad number for '" + std::string(key) +
-                        "': " + std::string(value));
-          dst = v;
-          return true;
-        };
-        if (key == "kind") {
-          const auto k = parse_campaign_kind(value);
-          if (!k) return fail("unknown kind: " + std::string(value));
-          spec.kind = *k;
-          return true;
-        }
-        if (key == "op") { spec.op = value; return true; }
-        if (key == "module") { spec.module = value; return true; }
-        if (key == "range") { spec.range = value; return true; }
-        if (key == "tile") { spec.tile = value; return true; }
-        if (key == "app") { spec.app = value; return true; }
-        if (key == "model") { spec.model = value; return true; }
-        if (key == "net") { spec.net = value; return true; }
-        if (key == "fault_model") { spec.fault_model = value; return true; }
-        if (key == "fault_duration") return number(spec.fault_duration);
-        if (key == "burst_period") return number(spec.burst_period);
-        if (key == "accel") { spec.accel = value; return true; }
-        if (key == "db") { spec.db_path = value; return true; }
-        if (key == "models") { spec.models_dir = value; return true; }
-        if (key == "faults") {
-          std::uint64_t v;
-          if (!number(v)) return false;
-          spec.faults = v;
-          return true;
-        }
-        if (key == "injections") {
-          std::uint64_t v;
-          if (!number(v)) return false;
-          spec.injections = v;
-          return true;
-        }
-        if (key == "seed") return number(spec.seed);
-        if (key == "jobs") {
-          std::uint64_t v;
-          if (!number(v)) return false;
-          spec.jobs = static_cast<unsigned>(v);
-          return true;
-        }
-        if (key == "workers") {
-          std::uint64_t v;
-          if (!number(v)) return false;
-          spec.workers = static_cast<unsigned>(v);
-          return true;
-        }
-        if (key == "priority") {
-          std::int64_t v;
-          if (!parse_i64(value, v))
-            return fail("bad number for 'priority': " + std::string(value));
-          spec.priority = static_cast<int>(v);
-          return true;
-        }
-        if (key == "deadline_ms") return number(spec.deadline_ms);
-        if (key == "progress_interval") {
-          std::uint64_t v;
-          if (!number(v)) return false;
-          spec.progress_interval = v;
-          return true;
-        }
-        if (key == "plan") { spec.plan = value; return true; }
-        return fail("unknown spec key: " + std::string(key));
-      });
-  if (!ok) return std::nullopt;
-  if (const auto err = validate_spec(spec)) {
+  KvReader in(payload);
+  std::string_view key, value;
+  while (in.next(key, value)) {
+    const auto number = [&]<class T>(T& dst) {
+      if (const auto v = parse_u64(value); v && *v <= T(-1))
+        dst = static_cast<T>(*v);
+      else
+        in.fail("bad number for '" + std::string(key) +
+                "': " + std::string(value));
+    };
+    if (key == "kind") {
+      const auto k = parse_campaign_kind(value);
+      if (!k) in.fail("unknown kind: " + std::string(value));
+      spec.kind = k.value_or(spec.kind);
+    } else if (key == "op") spec.op = value;
+    else if (key == "module") spec.module = value;
+    else if (key == "range") spec.range = value;
+    else if (key == "tile") spec.tile = value;
+    else if (key == "app") spec.app = value;
+    else if (key == "model") spec.model = value;
+    else if (key == "net") spec.net = value;
+    else if (key == "fault_model") spec.fault_model = value;
+    else if (key == "fault_duration") number(spec.fault_duration);
+    else if (key == "burst_period") number(spec.burst_period);
+    else if (key == "accel") spec.accel = value;
+    else if (key == "db") spec.db_path = value;
+    else if (key == "models") spec.models_dir = value;
+    else if (key == "faults") number(spec.faults);
+    else if (key == "injections") number(spec.injections);
+    else if (key == "seed") number(spec.seed);
+    else if (key == "jobs") number(spec.jobs);
+    else if (key == "workers") number(spec.workers);
+    else if (key == "priority") {
+      const auto v = parse_i64(value);
+      if (!v || *v < std::numeric_limits<int>::min() ||
+          *v > std::numeric_limits<int>::max())
+        in.fail("bad number for 'priority': " + std::string(value));
+      spec.priority = static_cast<int>(v.value_or(0));
+    } else if (key == "deadline_ms") number(spec.deadline_ms);
+    else if (key == "progress_interval") number(spec.progress_interval);
+    else if (key == "plan") spec.plan = value;
+    else in.fail("unknown spec key: " + std::string(key));
+  }
+  std::optional<std::string> err;
+  if (!in.ok()) err = in.error();
+  else err = validate_spec(spec);
+  if (err) {
     if (error) *error = *err;
     return std::nullopt;
   }
@@ -384,27 +356,20 @@ std::string encode_progress(const exec::Progress& p) {
 
 std::optional<exec::Progress> decode_progress(std::string_view payload) {
   exec::Progress p;
-  const bool ok = for_each_kv(
-      payload, nullptr,
-      [&](std::string_view key, std::string_view value, std::string*) {
-        std::uint64_t u = 0;
-        double d = 0.0;
-        if (key == "done" && parse_u64(value, u)) { p.done = u; return true; }
-        if (key == "total" && parse_u64(value, u)) {
-          p.total = u;
-          return true;
-        }
-        if (key == "per_second" && parse_double(value, d)) {
-          p.per_second = d;
-          return true;
-        }
-        if (key == "eta_seconds" && parse_double(value, d)) {
-          p.eta_seconds = d;
-          return true;
-        }
-        return false;
-      });
-  if (!ok) return std::nullopt;
+  KvReader in(payload);
+  std::string_view key, value;
+  while (in.next(key, value)) {
+    if (key == "done") p.done = in.u64(value);
+    else if (key == "total") p.total = in.u64(value);
+    else if (key == "per_second" || key == "eta_seconds") {
+      const auto d = parse_number<double>(value);
+      if (!d) in.fail("bad number: " + std::string(value));
+      (key == "per_second" ? p.per_second : p.eta_seconds) = d.value_or(0.0);
+    } else {
+      in.fail("unknown progress key: " + std::string(key));
+    }
+  }
+  if (!in.ok()) return std::nullopt;
   return p;
 }
 

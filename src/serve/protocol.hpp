@@ -138,6 +138,48 @@ ReadStatus read_frame(int fd, Frame& out,
                       std::size_t max_payload = kMaxFramePayload);
 
 // ---------------------------------------------------------------------------
+// The key=value text codec every serve and fabric payload is written in.
+// ---------------------------------------------------------------------------
+
+/// Appends one "key=value\n" line. Throws std::invalid_argument when
+/// `value` holds a newline, which would split it into two lines.
+void put_kv(std::string& out, std::string_view key, std::string_view value);
+void put_kv(std::string& out, std::string_view key, std::uint64_t value);
+
+/// Strict integer parses (std::from_chars over the whole string): decimal
+/// digits only, a leading '-' for the signed form, no '+', no whitespace,
+/// no overflow. nullopt on anything else.
+std::optional<std::uint64_t> parse_u64(std::string_view s);
+std::optional<std::int64_t> parse_i64(std::string_view s);
+
+/// Reads "key=value\n" lines front to back, either in any key order
+/// (next) or against an expected key sequence (take). Every line must end
+/// in '\n' and hold a '='. The first malformed input latches an error and
+/// turns later reads into no-ops, so decoders check ok() once at the end.
+class KvReader {
+ public:
+  explicit KvReader(std::string_view text) : rest_(text) {}
+
+  /// The next line split at its first '='; false at the end or on error.
+  bool next(std::string_view& key, std::string_view& value);
+  /// The value of the next line, which must carry `key`.
+  std::string_view take(std::string_view key);
+  std::uint64_t take_u64(std::string_view key) { return u64(take(key)); }
+  /// Parses `s` as parse_u64 does, failing the reader on a bad number.
+  std::uint64_t u64(std::string_view s);
+
+  void fail(std::string msg);
+  bool ok() const { return ok_; }
+  bool at_end() const { return rest_.empty(); }
+  const std::string& error() const { return error_; }
+
+ private:
+  std::string_view rest_;
+  bool ok_ = true;
+  std::string error_;
+};
+
+// ---------------------------------------------------------------------------
 // Campaign spec — the request payload, mirroring the CLI grids.
 // ---------------------------------------------------------------------------
 
@@ -191,9 +233,10 @@ struct CampaignSpec {
 /// Deterministic "key=value\n" serialization (every field, fixed order).
 std::string encode_spec(const CampaignSpec& spec);
 
-/// Strict parse: unknown keys, malformed numbers, or invalid enum values are
-/// errors (mirrors the CLI's hard usage errors). On failure returns nullopt
-/// and, when given, fills `error`.
+/// Strict parse: unknown keys, malformed numbers (signs, spaces), or invalid
+/// enum values are errors (mirrors the CLI's hard usage errors). Keys may
+/// come in any order and absent ones keep their defaults. On failure returns
+/// nullopt and, when given, fills `error`.
 std::optional<CampaignSpec> decode_spec(std::string_view payload,
                                         std::string* error = nullptr);
 

@@ -1,27 +1,22 @@
 #include "serve/server.hpp"
 
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cerrno>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <set>
 #include <stdexcept>
 #include <thread>
-#include <vector>
 
 #include "core/gpufi.hpp"
 #include "fabric/coordinator.hpp"
+#include "fabric/protocol.hpp"
 #include "fabric/transport.hpp"
 #include "nn/gpu_infer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "serve/queue.hpp"
 #include "vocab/vocab.hpp"
 
 namespace gpufi::serve {
@@ -72,37 +67,40 @@ rtlfi::CampaignConfig campaign_config_for_spec(
 
 std::string run_spec(const CampaignSpec& spec, Caches& caches,
                      const exec::ProgressFn& progress,
-                     const exec::CancelToken* cancel) {
+                     const exec::CancelToken* cancel,
+                     std::optional<exec::TrialRange> range) {
   if (const auto err = validate_spec(spec))
     throw std::invalid_argument(*err);
   obs::Span span("serve.run_spec");
   span.set("kind", campaign_kind_name(spec.kind));
 
   switch (spec.kind) {
-    case CampaignKind::Rtl: {
-      const auto w = rtlfi::make_microbenchmark(
-          *parse_opcode(spec.op), *parse_range(spec.range), spec.seed);
-      const auto cc = campaign_config_for_spec(spec, *parse_module(spec.module),
-                                               progress, cancel);
-      const auto golden = caches.golden(
-          golden_cache_key(spec, cc, w),
-          [&] { return rtlfi::prepare_golden(w, cc); });
-      const auto r = rtlfi::run_campaign(w, cc, *golden);
-      throw_if_stopped(cancel);
-      return serialize_campaign_result(spec, r);
-    }
+    case CampaignKind::Rtl:
     case CampaignKind::Tmxm: {
-      const auto w = rtlfi::make_tmxm(*parse_tile(spec.tile), spec.seed);
-      const auto cc = campaign_config_for_spec(spec, *parse_module(spec.module),
-                                               progress, cancel);
+      const auto w =
+          spec.kind == CampaignKind::Rtl
+              ? rtlfi::make_microbenchmark(*parse_opcode(spec.op),
+                                           *parse_range(spec.range), spec.seed)
+              : rtlfi::make_tmxm(*parse_tile(spec.tile), spec.seed);
+      auto cc = campaign_config_for_spec(spec, *parse_module(spec.module),
+                                         progress, cancel);
+      if (range) {
+        cc.shard_offset = range->offset;
+        cc.shard_count = range->count;
+      }
+      // The golden half depends only on the workload and trace geometry,
+      // so every request and shard with the same key shares one.
       const auto golden = caches.golden(
           golden_cache_key(spec, cc, w),
           [&] { return rtlfi::prepare_golden(w, cc); });
       const auto r = rtlfi::run_campaign(w, cc, *golden);
       throw_if_stopped(cancel);
-      return serialize_campaign_result(spec, r);
+      return range ? fabric::encode_rtl_partial(r)
+                   : serialize_campaign_result(spec, r);
     }
     case CampaignKind::Sw: {
+      if (range && !spec.plan.empty())
+        throw std::invalid_argument("planned sw campaigns only run whole");
       const auto app = vocab::make_app(spec.app);
       swfi::Config cfg;
       cfg.model = *parse_sw_model(spec.model);
@@ -112,6 +110,10 @@ std::string run_spec(const CampaignSpec& spec, Caches& caches,
       cfg.progress = progress;
       cfg.progress_interval = spec.progress_interval;
       cfg.cancel = cancel;
+      if (range) {
+        cfg.shard_offset = range->offset;
+        cfg.shard_count = range->count;
+      }
       std::shared_ptr<const syndrome::Database> db;
       if (cfg.model == swfi::FaultModel::RelativeError ||
           cfg.model == swfi::FaultModel::WarpRelativeError ||
@@ -134,9 +136,10 @@ std::string run_spec(const CampaignSpec& spec, Caches& caches,
       }
       const auto r = swfi::run_sw_campaign(app.app, cfg);
       throw_if_stopped(cancel);
-      return serialize_sw_result(r);
+      return range ? fabric::encode_sw_partial(r) : serialize_sw_result(r);
     }
     case CampaignKind::Cnn: {
+      if (range) throw std::invalid_argument("cnn campaigns only run whole");
       const auto db = caches.syndrome_db(spec.db_path, spec.jobs);
       const auto models = core::ensure_models(spec.models_dir);
       throw_if_stopped(cancel);
@@ -195,75 +198,56 @@ std::string run_report_offline(const CampaignSpec& spec) {
 // Stats payload.
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// Visits every Stats-frame field with its wire key, in wire order.
+template <class Stats, class Visit>
+void for_each_stat(Stats& s, Visit&& visit) {
+  visit("accepted", s.accepted);
+  visit("completed", s.completed);
+  visit("failed", s.failed);
+  visit("cancelled", s.cancelled);
+  visit("rejected", s.rejected);
+  visit("active", s.active);
+  visit("queued", s.queued);
+  visit("queue_capacity", s.queue_capacity);
+  visit("workers", s.workers);
+  visit("planner_early_stops", s.planner_early_stops);
+  visit("db_cache_hits", s.db_cache.hits);
+  visit("db_cache_misses", s.db_cache.misses);
+  visit("golden_cache_hits", s.golden_cache.hits);
+  visit("golden_cache_misses", s.golden_cache.misses);
+  visit("fabric_workers_registered", s.fabric_workers_registered);
+  visit("fabric_workers_alive", s.fabric_workers_alive);
+  visit("fabric_shards_inflight", s.fabric_shards_inflight);
+  visit("fabric_shards_retried", s.fabric_shards_retried);
+  visit("fabric_shards_completed", s.fabric_shards_completed);
+}
+
+}  // namespace
+
 std::string encode_stats(const ServerStats& s) {
   std::string out;
-  const auto kv = [&](const char* k, std::size_t v) {
-    out += k;
-    out += '=';
-    out += std::to_string(v);
-    out += '\n';
-  };
-  kv("accepted", s.accepted);
-  kv("completed", s.completed);
-  kv("failed", s.failed);
-  kv("cancelled", s.cancelled);
-  kv("rejected", s.rejected);
-  kv("active", s.active);
-  kv("queued", s.queued);
-  kv("queue_capacity", s.queue_capacity);
-  kv("workers", s.workers);
-  kv("planner_early_stops", s.planner_early_stops);
-  kv("db_cache_hits", s.db_cache.hits);
-  kv("db_cache_misses", s.db_cache.misses);
-  kv("golden_cache_hits", s.golden_cache.hits);
-  kv("golden_cache_misses", s.golden_cache.misses);
-  kv("fabric_workers_registered", s.fabric_workers_registered);
-  kv("fabric_workers_alive", s.fabric_workers_alive);
-  kv("fabric_shards_inflight", s.fabric_shards_inflight);
-  kv("fabric_shards_retried", s.fabric_shards_retried);
-  kv("fabric_shards_completed", s.fabric_shards_completed);
+  for_each_stat(s, [&](std::string_view key, std::size_t v) {
+    put_kv(out, key, v);
+  });
   return out;
 }
 
 std::optional<ServerStats> decode_stats(std::string_view payload) {
   ServerStats s;
-  std::size_t pos = 0;
-  while (pos < payload.size()) {
-    std::size_t eol = payload.find('\n', pos);
-    if (eol == std::string_view::npos) eol = payload.size();
-    const std::string_view line = payload.substr(pos, eol - pos);
-    pos = eol + 1;
-    if (line.empty()) continue;
-    const std::size_t eq = line.find('=');
-    if (eq == std::string_view::npos) return std::nullopt;
-    const std::string_view key = line.substr(0, eq);
-    errno = 0;
-    char* end = nullptr;
-    const std::string value(line.substr(eq + 1));
-    const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-    if (errno != 0 || end != value.c_str() + value.size())
-      return std::nullopt;
-    if (key == "accepted") s.accepted = v;
-    else if (key == "completed") s.completed = v;
-    else if (key == "failed") s.failed = v;
-    else if (key == "cancelled") s.cancelled = v;
-    else if (key == "rejected") s.rejected = v;
-    else if (key == "active") s.active = v;
-    else if (key == "queued") s.queued = v;
-    else if (key == "queue_capacity") s.queue_capacity = v;
-    else if (key == "workers") s.workers = v;
-    else if (key == "planner_early_stops") s.planner_early_stops = v;
-    else if (key == "db_cache_hits") s.db_cache.hits = v;
-    else if (key == "db_cache_misses") s.db_cache.misses = v;
-    else if (key == "golden_cache_hits") s.golden_cache.hits = v;
-    else if (key == "golden_cache_misses") s.golden_cache.misses = v;
-    else if (key == "fabric_workers_registered") s.fabric_workers_registered = v;
-    else if (key == "fabric_workers_alive") s.fabric_workers_alive = v;
-    else if (key == "fabric_shards_inflight") s.fabric_shards_inflight = v;
-    else if (key == "fabric_shards_retried") s.fabric_shards_retried = v;
-    else if (key == "fabric_shards_completed") s.fabric_shards_completed = v;
-    else return std::nullopt;
+  KvReader in(payload);
+  std::string_view key, value;
+  while (in.next(key, value)) {
+    bool known = false;
+    for_each_stat(s, [&](std::string_view k, std::size_t& field) {
+      if (k != key) return;
+      known = true;
+      field = in.u64(value);
+    });
+    if (!known) in.fail("unknown stats key");
   }
+  if (!in.ok()) return std::nullopt;
   return s;
 }
 
@@ -273,91 +257,90 @@ std::optional<ServerStats> decode_stats(std::string_view payload) {
 
 struct Server::Impl {
   explicit Impl(ServerConfig c)
-      : cfg(std::move(c)), queue(cfg.queue_capacity) {}
+      : cfg(std::move(c)),
+        pool(pool_config(cfg)),
+        accepted(pool.metrics().counter("gpufi_serve_jobs_accepted_total")),
+        completed(pool.metrics().counter("gpufi_serve_jobs_completed_total")),
+        failed(pool.metrics().counter("gpufi_serve_jobs_failed_total")),
+        cancelled(pool.metrics().counter("gpufi_serve_jobs_cancelled_total")),
+        rejected(pool.metrics().counter("gpufi_serve_jobs_rejected_total")),
+        bad_requests(pool.metrics().counter("gpufi_serve_bad_requests_total")) {}
+
+  static fabric::CoordinatorConfig pool_config(const ServerConfig& cfg) {
+    fabric::CoordinatorConfig pc;
+    if (const auto ep = fabric::parse_endpoint(cfg.fabric_listen))
+      pc.listen = *ep;
+    pc.quiet = cfg.quiet;
+    return pc;
+  }
 
   ServerConfig cfg;
-  JobQueue queue;
-  Caches caches;
-  /// Embedded fabric coordinator (null when cfg.fabric_listen is empty).
-  std::unique_ptr<fabric::Coordinator> fabric;
+  /// The shard pool: the only queue, the local executors and the fleet.
+  fabric::Coordinator pool;
+  // Job lifecycle counters: each outcome is counted once, here, and both
+  // the Stats frame and the metrics exposition read it.
+  obs::Counter& accepted;
+  obs::Counter& completed;
+  obs::Counter& failed;
+  obs::Counter& cancelled;
+  obs::Counter& rejected;
+  obs::Counter& bad_requests;
 
   int listen_fd = -1;
   std::atomic<bool> started{false};
   std::atomic<bool> stopped{false};
   std::thread accept_thread;
-  std::vector<std::thread> workers;
 
-  std::atomic<std::uint64_t> next_id{1};
-  std::atomic<std::size_t> accepted{0};
-  std::atomic<std::size_t> completed{0};
-  std::atomic<std::size_t> failed{0};
-  std::atomic<std::size_t> cancelled{0};
-  std::atomic<std::size_t> active{0};
-
-  /// Tokens of currently-executing jobs (forced shutdown cancels them).
-  std::mutex active_mutex;
-  std::set<std::shared_ptr<exec::CancelToken>> active_tokens;
-
+  unsigned executors() const { return cfg.workers == 0 ? 1 : cfg.workers; }
+  std::size_t capacity() const {
+    return cfg.queue_capacity == 0 ? 1 : cfg.queue_capacity;
+  }
   void log(const char* fmt, ...) const;
   void accept_loop();
   void handle_connection(int fd);
-  void worker_loop();
-  void handle_job(Job job);
-  /// Syncs the point-in-time gauges (queue depth, active jobs, pool shape)
-  /// into the metric registry — called at scrape time, so a Metrics frame
-  /// always reflects the live state.
+  void admit(int fd, const CampaignSpec& spec, bool report);
+  /// Syncs the point-in-time gauges (queue depth, active jobs, pool shape,
+  /// fleet) into the pool's registry — called at scrape time, so a Metrics
+  /// frame always reflects the live state.
   void refresh_gauges();
-  void fill_stats(ServerStats& s) const;
+  void fill_stats(ServerStats& s);
 };
 
 void Server::Impl::refresh_gauges() {
-  obs::set_gauge("gpufi_serve_queue_depth",
-                 static_cast<std::int64_t>(queue.depth()));
-  obs::set_gauge("gpufi_serve_queue_capacity",
-                 static_cast<std::int64_t>(queue.capacity()));
-  obs::set_gauge("gpufi_serve_active_jobs",
-                 static_cast<std::int64_t>(active.load()));
-  obs::set_gauge("gpufi_serve_workers",
-                 static_cast<std::int64_t>(workers.size()));
-  if (fabric) {
-    // Fleet-wide aggregates so `gpufi stats --metrics` reflects the fabric
-    // at scrape time.
-    const auto fs = fabric->stats();
-    obs::set_gauge("gpufi_fabric_workers_registered",
-                   static_cast<std::int64_t>(fs.workers_registered));
-    obs::set_gauge("gpufi_fabric_workers_alive",
-                   static_cast<std::int64_t>(fs.workers_alive));
-    obs::set_gauge("gpufi_fabric_shards_inflight",
-                   static_cast<std::int64_t>(fs.shards_inflight));
-    obs::set_gauge("gpufi_fabric_shards_pending",
-                   static_cast<std::int64_t>(fs.shards_pending));
-    obs::set_gauge("gpufi_fabric_shards_retried",
-                   static_cast<std::int64_t>(fs.shards_retried));
-  }
+  const auto ps = pool.stats();
+  auto& m = pool.metrics();
+  const auto gauge = [&](const char* name, std::size_t v) {
+    m.gauge(name).set(static_cast<std::int64_t>(v));
+  };
+  gauge("gpufi_serve_queue_depth", ps.jobs_queued);
+  gauge("gpufi_serve_queue_capacity", capacity());
+  gauge("gpufi_serve_active_jobs", ps.jobs_active);
+  gauge("gpufi_serve_workers", executors());
+  gauge("gpufi_fabric_workers_alive", ps.workers_alive);
+  gauge("gpufi_fabric_shards_inflight", ps.shards_inflight);
+  gauge("gpufi_fabric_shards_pending", ps.shards_pending);
 }
 
-void Server::Impl::fill_stats(ServerStats& s) const {
-  s.accepted = accepted;
-  s.completed = completed;
-  s.failed = failed;
-  s.cancelled = cancelled;
-  s.rejected = queue.rejected();
-  s.active = active;
-  s.queued = queue.depth();
-  s.queue_capacity = queue.capacity();
-  s.workers = workers.size();
+void Server::Impl::fill_stats(ServerStats& s) {
+  const auto ps = pool.stats();
+  s.accepted = accepted.value();
+  s.completed = completed.value();
+  s.failed = failed.value();
+  s.cancelled = cancelled.value();
+  s.rejected = rejected.value();
+  s.active = ps.jobs_active;
+  s.queued = ps.jobs_queued;
+  s.queue_capacity = capacity();
+  s.workers = executors();
   s.planner_early_stops = obs::Registry::global().counter_value(
       "gpufi_swfi_planner_early_stops_total");
-  s.db_cache = caches.syndrome_db_stats();
-  s.golden_cache = caches.golden_stats();
-  if (fabric) {
-    const auto fs = fabric->stats();
-    s.fabric_workers_registered = fs.workers_registered;
-    s.fabric_workers_alive = fs.workers_alive;
-    s.fabric_shards_inflight = fs.shards_inflight;
-    s.fabric_shards_retried = fs.shards_retried;
-    s.fabric_shards_completed = fs.shards_completed;
-  }
+  s.db_cache = pool.caches().syndrome_db_stats();
+  s.golden_cache = pool.caches().golden_stats();
+  s.fabric_workers_registered = ps.workers_registered;
+  s.fabric_workers_alive = ps.workers_alive;
+  s.fabric_shards_inflight = ps.shards_inflight;
+  s.fabric_shards_retried = ps.shards_retried;
+  s.fabric_shards_completed = ps.shards_completed;
 }
 
 void Server::Impl::log(const char* fmt, ...) const {
@@ -388,176 +371,97 @@ void Server::Impl::accept_loop() {
 void Server::Impl::handle_connection(int fd) {
   Frame req;
   const ReadStatus st = read_frame(fd, req);
-  if (st != ReadStatus::Ok) {
-    if (st != ReadStatus::Eof) {
-      obs::count("gpufi_serve_bad_requests_total");
-      write_frame(fd, {FrameType::Error, "malformed request frame"});
-    }
+  const auto reply = [fd](FrameType type, std::string payload) {
+    write_frame(fd, {type, std::move(payload)});
     ::close(fd);
-    return;
+  };
+  if (st != ReadStatus::Ok) {
+    if (st == ReadStatus::Eof) {
+      ::close(fd);
+      return;
+    }
+    bad_requests.add();
+    return reply(FrameType::Error, "malformed request frame");
   }
-
   if (req.type == FrameType::MetricsRequest) {
     refresh_gauges();
-    write_frame(fd,
-                {FrameType::Metrics,
-                 obs::Registry::global().render_prometheus()});
-    ::close(fd);
-    return;
+    return reply(FrameType::Metrics,
+                 pool.metrics().render_prometheus() +
+                     obs::Registry::global().render_prometheus());
   }
-
   if (req.type == FrameType::Status) {
     ServerStats s;
     fill_stats(s);
-    write_frame(fd, {FrameType::Stats, encode_stats(s)});
-    ::close(fd);
-    return;
+    return reply(FrameType::Stats, encode_stats(s));
   }
-
   if (req.type != FrameType::Submit && req.type != FrameType::ReportRequest) {
-    obs::count("gpufi_serve_bad_requests_total");
-    write_frame(fd, {FrameType::Error,
-                     "expected a Submit, ReportRequest, or Status frame"});
-    ::close(fd);
-    return;
+    bad_requests.add();
+    return reply(FrameType::Error,
+                 "expected a Submit, ReportRequest, or Status frame");
   }
-
   std::string error;
   const auto spec = decode_spec(req.payload, &error);
   if (!spec) {
-    ++failed;
-    obs::count("gpufi_serve_jobs_failed_total");
-    write_frame(fd, {FrameType::Error, "invalid campaign spec: " + error});
-    ::close(fd);
-    return;
+    failed.add();
+    return reply(FrameType::Error, "invalid campaign spec: " + error);
   }
+  admit(fd, *spec, req.type == FrameType::ReportRequest);
+}
 
-  Job job;
-  job.id = next_id.fetch_add(1);
-  job.spec = *spec;
-  job.fd = fd;
-  job.report = req.type == FrameType::ReportRequest;
-  job.cancel = std::make_shared<exec::CancelToken>();
+void Server::Impl::admit(int fd, const CampaignSpec& spec, bool report) {
+  fabric::JobRequest job;
+  job.spec = spec;
+  job.report = report;
   const std::uint64_t deadline_ms =
-      spec->deadline_ms != 0 ? spec->deadline_ms : cfg.default_deadline_ms;
+      spec.deadline_ms != 0 ? spec.deadline_ms : cfg.default_deadline_ms;
   if (deadline_ms != 0)
     job.cancel->set_deadline_after(std::chrono::milliseconds(deadline_ms));
-  job.enqueued_at = std::chrono::steady_clock::now();
-
-  if (!queue.push(std::move(job))) {
-    // Admission control: reject-with-backpressure instead of buffering.
-    obs::count("gpufi_serve_jobs_rejected_total");
-    write_frame(fd, {FrameType::Error,
-                     "queue full (capacity " +
-                         std::to_string(queue.capacity()) +
-                         "): retry later"});
-    ::close(fd);
-    log("rejected job (queue full)");
-    return;
-  }
-  ++accepted;
-  obs::count("gpufi_serve_jobs_accepted_total");
-  log("accepted %s job (queued %zu)",
-      std::string(campaign_kind_name(spec->kind)).c_str(), queue.depth());
-}
-
-void Server::Impl::worker_loop() {
-  while (auto job = queue.pop()) handle_job(std::move(*job));
-}
-
-void Server::Impl::handle_job(Job job) {
-  ++active;
-  {
-    std::lock_guard<std::mutex> lock(active_mutex);
-    active_tokens.insert(job.cancel);
-  }
   const auto token = job.cancel;
-  const int fd = job.fd;
-
-  obs::observe("gpufi_serve_queue_wait_seconds",
-               std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                             job.enqueued_at)
-                   .count());
-  obs::Span span("serve.request");
-  span.set("kind", campaign_kind_name(job.spec.kind));
-  span.set("id", job.id);
-
   // Progress streamer + disconnect detector: a client that closed its end
   // surfaces as recv()==0 (orderly FIN) or a failed frame write, either of
-  // which cancels the trial loop cooperatively.
-  const exec::ProgressFn progress = [fd, token](const exec::Progress& p) {
+  // which stops the job.
+  job.progress = [fd, token](const exec::Progress& p) {
     char probe;
-    const ssize_t r = ::recv(fd, &probe, 1, MSG_PEEK | MSG_DONTWAIT);
-    if (r == 0) {
-      token->cancel();
-      return;
-    }
-    if (!write_frame(fd, {FrameType::Progress, encode_progress(p)}))
+    if (::recv(fd, &probe, 1, MSG_PEEK | MSG_DONTWAIT) == 0 ||
+        !write_frame(fd, {FrameType::Progress, encode_progress(p)}))
       token->cancel();
   };
-
+  const FrameType result = report ? FrameType::Report : FrameType::Result;
+  job.done = [this, fd, token, result](bool ok, const std::string& text) {
+    if (ok && write_frame(fd, {result, text})) {
+      completed.add();
+    } else if (ok || token->stopped()) {
+      // Cancelled, or the client vanished between the last trial and the
+      // result.
+      cancelled.add();
+      if (!ok) write_frame(fd, {FrameType::Error, text});
+      log("job %s", ok ? "lost its client" : text.c_str());
+    } else {
+      failed.add();
+      write_frame(fd, {FrameType::Error, "campaign failed: " + text});
+      log("job failed: %s", text.c_str());
+    }
+    ::close(fd);
+  };
+  const auto bounce = [&](obs::Counter& outcome, std::string text) {
+    outcome.add();
+    write_frame(fd, {FrameType::Error, std::move(text)});
+    ::close(fd);
+  };
   try {
-    throw_if_stopped(token.get());
-    std::string payload;
-    if (!job.report && job.spec.workers > 0) {
-      // Fabric fan-out: the coordinator shards the campaign over the
-      // registered `gpufi worker` fleet and merges to the exact bytes the
-      // in-process path below would have produced.
-      if (!fabric)
-        throw std::invalid_argument(
-            "this daemon has no fabric: restart `gpufi serve` with "
-            "--fabric ADDR, or resubmit without --workers");
-      payload =
-          fabric->run_job(job.spec, job.spec.workers, progress, token.get());
-    } else if (job.report && job.spec.workers > 0) {
-      throw std::invalid_argument(
-          "attribution reports cannot fan out over the fabric; resubmit "
-          "without --workers");
-    } else {
-      payload = job.report ? run_report_spec(job.spec, progress, token.get())
-                           : run_spec(job.spec, caches, progress, token.get());
+    if (pool.submit(std::move(job))) {
+      accepted.add();
+      log("accepted %s job",
+          std::string(campaign_kind_name(spec.kind)).c_str());
+      return;
     }
-    const FrameType reply =
-        job.report ? FrameType::Report : FrameType::Result;
-    if (write_frame(fd, {reply, payload})) {
-      ++completed;
-      obs::count("gpufi_serve_jobs_completed_total");
-      log("job %llu done", static_cast<unsigned long long>(job.id));
-    } else {
-      ++cancelled;  // client vanished between the last trial and the result
-      obs::count("gpufi_serve_jobs_cancelled_total");
-    }
-  } catch (const CancelledError&) {
-    ++cancelled;
-    obs::count("gpufi_serve_jobs_cancelled_total");
-    const char* why = token->cancelled() ? "campaign cancelled"
-                                         : "deadline exceeded";
-    write_frame(fd, {FrameType::Error, why});
-    log("job %llu %s", static_cast<unsigned long long>(job.id), why);
-  } catch (const std::exception& e) {
-    if (token->stopped()) {
-      // A cancelled shared computation (e.g. DB build) may surface as a
-      // generic exception; classify by the token, not the message.
-      ++cancelled;
-      obs::count("gpufi_serve_jobs_cancelled_total");
-      write_frame(fd, {FrameType::Error, token->cancelled()
-                                             ? "campaign cancelled"
-                                             : "deadline exceeded"});
-    } else {
-      ++failed;
-      obs::count("gpufi_serve_jobs_failed_total");
-      write_frame(fd, {FrameType::Error,
-                       std::string("campaign failed: ") + e.what()});
-      log("job %llu failed: %s", static_cast<unsigned long long>(job.id),
-          e.what());
-    }
+    // Admission control: reject-with-backpressure instead of buffering.
+    bounce(rejected, "queue full (capacity " + std::to_string(capacity()) +
+                         "): retry later");
+    log("rejected job (queue full)");
+  } catch (const std::invalid_argument& e) {
+    bounce(failed, e.what());
   }
-  ::close(fd);
-  {
-    std::lock_guard<std::mutex> lock(active_mutex);
-    active_tokens.erase(token);
-  }
-  --active;
 }
 
 Server::Server(ServerConfig cfg) : impl_(std::make_unique<Impl>(std::move(cfg))) {}
@@ -574,64 +478,26 @@ bool Server::running() const {
 
 void Server::start() {
   if (impl_->started) throw std::logic_error("server already started");
-  const std::string& path = impl_->cfg.socket_path;
-
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) throw std::runtime_error("socket(): " + std::string(std::strerror(errno)));
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (path.size() >= sizeof(addr.sun_path)) {
+  const auto& cfg = impl_->cfg;
+  if (!cfg.fabric_listen.empty() && !fabric::parse_endpoint(cfg.fabric_listen))
+    throw std::runtime_error("bad fabric listen address: " + cfg.fabric_listen);
+  fabric::Endpoint ep;
+  ep.path = cfg.socket_path;
+  const int fd = fabric::listen_endpoint(ep, 128);
+  try {
+    impl_->pool.start(impl_->executors(), impl_->capacity());
+  } catch (...) {
     ::close(fd);
-    throw std::runtime_error("socket path too long: " + path);
+    ::unlink(cfg.socket_path.c_str());
+    throw;
   }
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  ::unlink(path.c_str());  // clear a stale socket from a previous run
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) < 0) {
-    const std::string err = std::strerror(errno);
-    ::close(fd);
-    throw std::runtime_error("bind(" + path + "): " + err);
-  }
-  if (::listen(fd, 128) < 0) {
-    const std::string err = std::strerror(errno);
-    ::close(fd);
-    ::unlink(path.c_str());
-    throw std::runtime_error("listen(" + path + "): " + err);
-  }
-
-  if (!impl_->cfg.fabric_listen.empty()) {
-    const auto ep = fabric::parse_endpoint(impl_->cfg.fabric_listen);
-    if (!ep) {
-      ::close(fd);
-      ::unlink(path.c_str());
-      throw std::runtime_error("bad fabric listen address: " +
-                               impl_->cfg.fabric_listen);
-    }
-    fabric::CoordinatorConfig fc;
-    fc.listen = *ep;
-    fc.heartbeat_timeout_ms = impl_->cfg.fabric_heartbeat_timeout_ms;
-    fc.max_shard_retries = impl_->cfg.fabric_max_retries;
-    fc.quiet = impl_->cfg.quiet;
-    impl_->fabric = std::make_unique<fabric::Coordinator>(fc);
-    try {
-      impl_->fabric->start();
-    } catch (...) {
-      impl_->fabric.reset();
-      ::close(fd);
-      ::unlink(path.c_str());
-      throw;
-    }
-    impl_->log("fabric coordinator on %s", ep->describe().c_str());
-  }
-
   impl_->listen_fd = fd;
   impl_->started = true;
   impl_->accept_thread = std::thread([this] { impl_->accept_loop(); });
-  const unsigned n = impl_->cfg.workers == 0 ? 1 : impl_->cfg.workers;
-  impl_->workers.reserve(n);
-  for (unsigned i = 0; i < n; ++i)
-    impl_->workers.emplace_back([this] { impl_->worker_loop(); });
-  impl_->log("listening on %s (%u workers, queue capacity %zu)",
-             path.c_str(), n, impl_->queue.capacity());
+  impl_->log("listening on %s (%u local executors, queue capacity %zu%s%s)",
+             cfg.socket_path.c_str(), impl_->executors(), impl_->capacity(),
+             cfg.fabric_listen.empty() ? "" : ", fabric on ",
+             cfg.fabric_listen.c_str());
 }
 
 void Server::shutdown(bool drain) {
@@ -646,29 +512,22 @@ void Server::shutdown(bool drain) {
   ::close(impl_->listen_fd);
   impl_->listen_fd = -1;
 
-  if (!drain) {
-    for (auto& job : impl_->queue.drain_pending()) {
-      job.cancel->cancel();
-      write_frame(job.fd, {FrameType::Error, "server shutting down"});
-      ::close(job.fd);
-      ++impl_->cancelled;
-    }
-    std::lock_guard<std::mutex> lock(impl_->active_mutex);
-    for (const auto& token : impl_->active_tokens) token->cancel();
-  }
-
-  // Drain semantics: admitted jobs still run to completion; workers exit
-  // once the queue is empty.
-  impl_->queue.close();
-  for (auto& w : impl_->workers) w.join();
-  impl_->workers.clear();
-  // Stop the fabric only after the executor pool drained: in-flight fabric
-  // jobs finish their shards before the fleet is cut loose.
-  if (impl_->fabric) impl_->fabric->stop();
+  // Drain: every admitted job (in-flight fan-outs included) finishes before
+  // the fleet is cut loose. Forced: queued jobs are bounced and running ones
+  // stopped through their tokens.
+  if (drain)
+    impl_->pool.drain();
+  else
+    impl_->pool.stop("server shutting down");
   ::unlink(impl_->cfg.socket_path.c_str());
-  impl_->log("stopped (completed %zu, failed %zu, cancelled %zu)",
-             impl_->completed.load(), impl_->failed.load(),
-             impl_->cancelled.load());
+  // The word "failed" appears only when a job did: operators (and the smoke
+  // CI jobs) grep the log for it.
+  const auto failed = impl_->failed.value();
+  impl_->log("stopped (completed %llu, cancelled %llu%s%s)",
+             static_cast<unsigned long long>(impl_->completed.value()),
+             static_cast<unsigned long long>(impl_->cancelled.value()),
+             failed ? ", failed " : "",
+             failed ? std::to_string(failed).c_str() : "");
 }
 
 ServerStats Server::stats() const {
@@ -677,8 +536,6 @@ ServerStats Server::stats() const {
   return s;
 }
 
-fabric::Coordinator* Server::coordinator() const {
-  return impl_->fabric.get();
-}
+fabric::Coordinator* Server::coordinator() const { return &impl_->pool; }
 
 }  // namespace gpufi::serve

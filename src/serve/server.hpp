@@ -2,21 +2,25 @@
 
 // gpufi-serve: a long-running fault-injection campaign daemon.
 //
-// Lifecycle: Server::start() binds the Unix-domain socket and spawns one
-// accept thread plus `workers` campaign workers. Each accepted connection
-// submits one campaign spec; the accept thread applies admission control
-// (bounded priority queue, reject-with-backpressure when full) and workers
-// execute jobs with progress streamed back as frames. A client disconnect or
-// an expired per-request deadline cancels the trial loop cooperatively via
-// exec::CancelToken. shutdown(drain=true) — the SIGTERM path — stops
+// Lifecycle: Server::start() binds the Unix-domain socket, spawns one accept
+// thread, and starts the daemon's shard pool (fabric::Coordinator) with
+// `workers` local executor threads. Each accepted connection submits one
+// campaign spec; the accept thread hands it to the pool, whose bounded
+// (priority, arrival) queue applies admission control (reject-with-
+// backpressure when full). Local jobs run as one shard on a local executor;
+// jobs submitted with workers = N fan out over the registered `gpufi worker`
+// fleet without holding a local executor. Progress streams back as frames;
+// a client disconnect or an expired per-request deadline stops the job via
+// its exec::CancelToken. shutdown(drain=true) — the SIGTERM path — stops
 // accepting, finishes every admitted job, then tears down.
 //
 // Determinism contract: a served campaign's Result payload is byte-identical
-// to run_spec_offline() of the same spec — queueing, worker count, cache
-// sharing and progress streaming cannot change a single byte of the result.
+// to run_spec_offline() of the same spec — queueing, executor count, fan-out,
+// cache sharing and progress streaming cannot change a single byte of it.
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "serve/cache.hpp"
@@ -30,39 +34,41 @@ namespace gpufi::serve {
 
 struct ServerConfig {
   std::string socket_path = kDefaultSocketPath;
-  unsigned workers = 2;          ///< concurrent campaign executors
-  std::size_t queue_capacity = 64;  ///< admitted-but-not-running bound
+  /// Local executor threads: how many local shards run at once. Fanned-out
+  /// jobs run on the remote fleet and do not count against it.
+  unsigned workers = 2;
+  /// Admission bound: jobs admitted but with no shard started yet.
+  std::size_t queue_capacity = 64;
   /// Applied when a spec carries no deadline; 0 = unlimited.
   std::uint64_t default_deadline_ms = 0;
   /// Suppress stderr lifecycle logging (tests).
   bool quiet = true;
-  /// gpufi-fabric coordinator listen address ("unix:PATH", "HOST:PORT" or
-  /// "tcp:HOST:PORT"); empty disables the fabric, and submits asking for
-  /// workers > 0 are then rejected with a clear error.
+  /// Address `gpufi worker` processes register at ("unix:PATH",
+  /// "HOST:PORT" or "tcp:HOST:PORT"); empty disables the fabric, and
+  /// submits asking for workers > 0 are then rejected with a clear error.
   std::string fabric_listen;
-  /// See fabric::CoordinatorConfig.
-  std::uint64_t fabric_heartbeat_timeout_ms = 5000;
-  unsigned fabric_max_retries = 3;
 };
 
-/// Point-in-time counters (the Stats frame payload).
+/// Point-in-time counters (the Stats frame payload). The job counters are
+/// the same increments the metrics exposition renders.
 struct ServerStats {
   std::size_t accepted = 0;   ///< jobs admitted to the queue
   std::size_t completed = 0;  ///< jobs that sent a Result frame
   std::size_t failed = 0;     ///< jobs that sent an Error frame
   std::size_t cancelled = 0;  ///< jobs aborted by disconnect/deadline/shutdown
   std::size_t rejected = 0;   ///< submissions bounced by admission control
-  std::size_t active = 0;     ///< jobs currently executing
-  std::size_t queued = 0;     ///< jobs waiting in the queue
+  std::size_t active = 0;     ///< jobs with a shard started
+  std::size_t queued = 0;     ///< jobs waiting for their first shard
   std::size_t queue_capacity = 0;
-  std::size_t workers = 0;
+  std::size_t workers = 0;  ///< local executors
   /// Strata the campaign planner stopped early (Wilson interval converged
   /// before the trial budget ran out) over the daemon's lifetime — read from
   /// the gpufi_swfi_planner_early_stops_total counter.
   std::size_t planner_early_stops = 0;
   CacheStats db_cache;
   CacheStats golden_cache;
-  // Fabric fleet aggregates (all zero when the fabric is disabled).
+  // Shard pool and fleet aggregates (worker counts are zero without a
+  // fabric; the shard counts include local shards).
   std::size_t fabric_workers_registered = 0;  ///< lifetime handshakes
   std::size_t fabric_workers_alive = 0;
   std::size_t fabric_shards_inflight = 0;
@@ -74,8 +80,8 @@ std::string encode_stats(const ServerStats& s);
 std::optional<ServerStats> decode_stats(std::string_view payload);
 
 /// Resolves an rtl/tmxm spec to the campaign config its trials run under —
-/// shared by the in-process dispatch and the fabric worker's shard executor
-/// so a sharded campaign cannot drift from the offline one.
+/// the one spec-to-config mapping, so a sharded campaign cannot drift from
+/// the offline one.
 rtlfi::CampaignConfig campaign_config_for_spec(
     const CampaignSpec& spec, rtl::Module module,
     const exec::ProgressFn& progress, const exec::CancelToken* cancel);
@@ -87,13 +93,19 @@ std::string golden_cache_key(const CampaignSpec& spec,
                              const rtlfi::CampaignConfig& cc,
                              const rtlfi::Workload& w);
 
-/// Executes one campaign spec on the calling thread, sharing `caches`.
-/// Returns the deterministic Result payload. `progress`/`cancel` may be
-/// empty/null. Throws on failure; throws exec-level partial results away
-/// when `cancel` stopped the loop (the caller must check the token).
+/// Executes one campaign spec on the calling thread, sharing `caches` —
+/// the one spec-to-campaign dispatch every executor (local or remote) and
+/// the offline path share. Without `range` it runs the whole campaign and
+/// returns the deterministic Result payload; with one it runs only those
+/// trials and returns the lossless partial (fabric::encode_rtl_partial /
+/// encode_sw_partial) that merges into it. cnn and planned sw campaigns
+/// only run whole. `progress`/`cancel` may be empty/null. Throws on
+/// failure, and throws the partial results away when `cancel` stopped the
+/// loop.
 std::string run_spec(const CampaignSpec& spec, Caches& caches,
                      const exec::ProgressFn& progress,
-                     const exec::CancelToken* cancel);
+                     const exec::CancelToken* cancel,
+                     std::optional<exec::TrialRange> range = std::nullopt);
 
 /// The offline reference path: same dispatch with fresh caches and no
 /// hooks — what the CLI runs, and what the byte-identity tests compare a
@@ -120,8 +132,8 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds the socket and spawns the accept/worker threads. Throws
-  /// std::runtime_error on bind/listen failure.
+  /// Binds the socket, starts the shard pool and spawns the accept thread.
+  /// Throws std::runtime_error on bind/listen failure.
   void start();
 
   /// Idempotent teardown. drain=true (SIGTERM): stop accepting, run every
@@ -132,7 +144,8 @@ class Server {
   bool running() const;
   ServerStats stats() const;
   const ServerConfig& config() const;
-  /// The embedded fabric coordinator; null when fabric_listen is empty.
+  /// The daemon's shard pool; it listens for workers only when
+  /// fabric_listen is set.
   fabric::Coordinator* coordinator() const;
 
  private:

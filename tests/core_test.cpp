@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <filesystem>
+#include <string>
 
 #include "core/gpufi.hpp"
 #include "emu/device.hpp"
@@ -11,11 +14,16 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Temp directory fixture.
+/// Temp directory fixture. Each test gets its own directory (test name +
+/// pid): ctest runs every test as its own process, in parallel under -j, so
+/// a shared path would let one test's TearDown delete another's files.
 class CoreFacade : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() / "gpufi_core_test";
+    const auto* test = ::testing::UnitTest::GetInstance()->current_test_info();
+    dir_ = fs::temp_directory_path() /
+           ("gpufi_core_test_" + std::string(test->name()) + "_" +
+            std::to_string(::getpid()));
     fs::remove_all(dir_);
     fs::create_directories(dir_);
   }

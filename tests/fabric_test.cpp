@@ -277,6 +277,11 @@ TEST(Protocol, PartialDecodersRejectGarbage) {
   EXPECT_FALSE(decode_rtl_partial("", &error));
   EXPECT_FALSE(decode_rtl_partial("v=99\n", &error));
   EXPECT_FALSE(decode_sw_partial("not a partial", &error));
+  // A count far beyond the bytes that follow is rejected, not allocated.
+  EXPECT_FALSE(decode_sw_partial(
+      "v=1\ninjections=0\nmasked=0\nsdc=0\ndue=0\ncandidates=0\n"
+      "pc_counts=18446744073709551615 1\nsites=0\n",
+      &error));
   EXPECT_FALSE(decode_shard_request("job=\n"));
   EXPECT_FALSE(decode_hello("version=x\n"));
 }

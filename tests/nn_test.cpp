@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
+#include <string>
 
 #include "nn/gpu_infer.hpp"
 #include "nn/network.hpp"
@@ -47,7 +50,12 @@ TEST(Network, GradientCheckPasses) {
 TEST(Network, SerializationRoundTrip) {
   Rng rng(4);
   auto net = make_lenet(rng);
-  const std::string path = "/tmp/gpufi_nn_test.gfnn";
+  // A per-process path: parallel ctest runs must not share the file.
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("gpufi_nn_test_SerializationRoundTrip_" +
+        std::to_string(::getpid()) + ".gfnn"))
+          .string();
   net.save_file(path);
   const auto loaded = Network::load_file(path);
   EXPECT_EQ(loaded.name, net.name);

@@ -1,7 +1,8 @@
-// Tests for gpufi-serve: wire protocol framing, the bounded priority queue,
+// Tests for gpufi-serve: wire protocol framing, the strict key=value codec,
 // the single-flight shared caches, and loopback daemon sessions pinning the
 // served-equals-offline byte-identity contract, golden-trace sharing across
-// concurrent requests, admission control, deadlines, and SIGTERM-style drain.
+// concurrent requests, admission control, priority order, deadlines,
+// SIGTERM-style drain, and one count per lifecycle fact.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -14,11 +15,11 @@
 #include <thread>
 #include <vector>
 
+#include "fabric/coordinator.hpp"
 #include "obs/metrics.hpp"
 #include "serve/cache.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
-#include "serve/queue.hpp"
 #include "serve/server.hpp"
 #include "vocab/vocab.hpp"
 
@@ -241,6 +242,27 @@ TEST(Protocol, SpecDecodeIsStrict) {
   EXPECT_NE(error.find("kind=sw"), std::string::npos);
   EXPECT_TRUE(decode_spec("kind=sw\nplan=target_err=0.1\n", &error)
                   .has_value()) << error;
+  // Numbers are digits only: no sign, no whitespace (each of these used to
+  // decode to a value that does not re-encode to the same bytes; the
+  // negative one wrapped to 18446744073709551611).
+  EXPECT_FALSE(decode_spec("kind=rtl\nfaults= -5\n", &error).has_value());
+  EXPECT_NE(error.find("faults"), std::string::npos);
+  EXPECT_FALSE(decode_spec("kind=rtl\nfaults=+5\n", &error).has_value());
+  EXPECT_FALSE(decode_spec("kind=rtl\nfaults= 7\n", &error).has_value());
+  EXPECT_FALSE(decode_spec("kind=rtl\nseed=\t3\n", &error).has_value());
+  EXPECT_FALSE(decode_spec("kind=rtl\nfaults=-5\n", &error).has_value());
+  EXPECT_FALSE(decode_spec("kind=rtl\njobs=4294967296\n", &error)
+                   .has_value());
+  EXPECT_FALSE(decode_spec("kind=rtl\npriority=+1\n", &error).has_value());
+  // Every line ends in a newline.
+  EXPECT_FALSE(decode_spec("kind=rtl\nfaults=5", &error).has_value());
+  EXPECT_EQ(decode_spec("kind=rtl\npriority=-3\n", &error)->priority, -3);
+}
+
+TEST(Protocol, EncodeRefusesNewlinesInValues) {
+  CampaignSpec spec;
+  spec.op = "FFMA\nfaults=1";
+  EXPECT_THROW(encode_spec(spec), std::invalid_argument);
 }
 
 TEST(Vocab, ParseProgressIntervalIsStrict) {
@@ -303,76 +325,12 @@ TEST(Protocol, StatsRoundTrip) {
   EXPECT_FALSE(decode_stats("accepted=1\nnope=2\n").has_value());
 }
 
-// ----------------------------------------------------------------- queue
-
-namespace {
-
-Job make_job(std::uint64_t id, int priority = 0) {
-  Job j;
-  j.id = id;
-  j.spec = small_rtl_spec();
-  j.spec.priority = priority;
-  j.cancel = std::make_shared<exec::CancelToken>();
-  return j;
-}
-
-}  // namespace
-
-TEST(JobQueue, PopsInPriorityThenArrivalOrder) {
-  JobQueue q(8);
-  ASSERT_TRUE(q.push(make_job(1, /*priority=*/5)));
-  ASSERT_TRUE(q.push(make_job(2, /*priority=*/0)));
-  ASSERT_TRUE(q.push(make_job(3, /*priority=*/5)));
-  ASSERT_TRUE(q.push(make_job(4, /*priority=*/-1)));
-  EXPECT_EQ(q.pop()->id, 4u);  // lowest priority value first
-  EXPECT_EQ(q.pop()->id, 2u);
-  EXPECT_EQ(q.pop()->id, 1u);  // FIFO within a priority class
-  EXPECT_EQ(q.pop()->id, 3u);
-}
-
-TEST(JobQueue, RejectsWhenFullAndCountsRejections) {
-  JobQueue q(2);
-  EXPECT_TRUE(q.push(make_job(1)));
-  EXPECT_TRUE(q.push(make_job(2)));
-  EXPECT_FALSE(q.push(make_job(3)));  // bounded: reject, don't block
-  EXPECT_FALSE(q.push(make_job(4)));
-  EXPECT_EQ(q.rejected(), 2u);
-  EXPECT_EQ(q.depth(), 2u);
-  q.pop();
-  EXPECT_TRUE(q.push(make_job(5)));  // slot freed -> admitted again
-}
-
-TEST(JobQueue, CloseDrainsQueuedJobsThenSignalsExit) {
-  JobQueue q(8);
-  ASSERT_TRUE(q.push(make_job(1)));
-  ASSERT_TRUE(q.push(make_job(2)));
-  q.close();
-  EXPECT_FALSE(q.push(make_job(3)));  // no admissions after close
-  EXPECT_TRUE(q.pop().has_value());   // ...but queued jobs still drain
-  EXPECT_TRUE(q.pop().has_value());
-  EXPECT_FALSE(q.pop().has_value());  // empty + closed -> worker exits
-}
-
-TEST(JobQueue, DrainPendingEmptiesTheQueue) {
-  JobQueue q(8);
-  ASSERT_TRUE(q.push(make_job(1)));
-  ASSERT_TRUE(q.push(make_job(2, 1)));
-  const auto pending = q.drain_pending();
-  EXPECT_EQ(pending.size(), 2u);
-  EXPECT_EQ(q.depth(), 0u);
-}
-
-TEST(JobQueue, PopBlocksUntilAJobArrives) {
-  JobQueue q(4);
-  std::atomic<bool> got{false};
-  std::thread consumer([&] {
-    const auto j = q.pop();
-    got = j.has_value() && j->id == 77;
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  ASSERT_TRUE(q.push(make_job(77)));
-  consumer.join();
-  EXPECT_TRUE(got.load());
+TEST(Protocol, StatsDecodeIsStrict) {
+  EXPECT_FALSE(decode_stats("completed= -1\n").has_value());
+  EXPECT_FALSE(decode_stats("completed=-1\n").has_value());
+  EXPECT_FALSE(decode_stats("completed=+1\n").has_value());
+  EXPECT_FALSE(decode_stats("completed\n").has_value());
+  EXPECT_EQ(decode_stats("completed=7\n")->completed, 7u);
 }
 
 // ----------------------------------------------------------------- cache
@@ -593,12 +551,9 @@ TEST(Serve, MetricsScrapeReportsCountersAndQueueState) {
   const auto spec = small_rtl_spec();
   const auto outcome = submit_campaign(cfg.socket_path, spec);
   ASSERT_TRUE(outcome.ok) << outcome.error;
-  // The completed counter is bumped by the worker after the Result frame is
-  // written; give the worker a beat to retire the job.
-  ASSERT_TRUE(wait_until([] {
-    return obs::Registry::global().counter_value(
-               "gpufi_serve_jobs_completed_total") >= 1;
-  }));
+  // The completed counter is bumped after the Result frame is written;
+  // give the executor a beat to retire the job.
+  ASSERT_TRUE(wait_until([&] { return server.stats().completed >= 1; }));
 
   std::string error;
   const auto text = query_metrics(cfg.socket_path, &error);
@@ -776,6 +731,89 @@ TEST(Serve, ForcedShutdownCancelsActiveAndBouncesQueued) {
   ::close(queued);
   EXPECT_EQ(server.stats().completed, 0u);
   EXPECT_EQ(server.stats().cancelled, 2u);
+}
+
+TEST(Serve, StatsAndExpositionCountTheSameForcedShutdown) {
+  // Each lifecycle outcome is one increment that both the Stats frame and
+  // the metrics exposition read — per daemon, and with obs disabled too.
+  obs::set_enabled(false);
+  ServerConfig cfg;
+  cfg.socket_path = "serve_counts.sock";
+  cfg.workers = 1;
+  Server server(cfg);
+  server.start();
+  auto slow = small_rtl_spec();
+  slow.faults = 800;
+  slow.accel = "none";
+  const int running = submit_raw(cfg.socket_path, slow);
+  ASSERT_TRUE(wait_until([&] { return server.stats().active == 1; }));
+  const int queued = submit_raw(cfg.socket_path, small_rtl_spec());
+  ASSERT_TRUE(wait_until([&] { return server.stats().queued == 1; }));
+  server.shutdown(/*drain=*/false);
+  ::close(running);
+  ::close(queued);
+
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.accepted, 2u);
+  EXPECT_EQ(stats.cancelled, 2u);
+  EXPECT_EQ(stats.completed, 0u);
+  const std::string text =
+      server.coordinator()->metrics().render_prometheus();
+  const auto line = [&](const char* name, std::size_t v) {
+    return text.find(std::string(name) + " " + std::to_string(v) + "\n") !=
+           std::string::npos;
+  };
+  EXPECT_TRUE(line("gpufi_serve_jobs_accepted_total", stats.accepted)) << text;
+  EXPECT_TRUE(line("gpufi_serve_jobs_cancelled_total", stats.cancelled))
+      << text;
+  EXPECT_TRUE(line("gpufi_serve_jobs_completed_total", stats.completed))
+      << text;
+  EXPECT_TRUE(line("gpufi_serve_jobs_failed_total", stats.failed)) << text;
+  EXPECT_TRUE(line("gpufi_serve_jobs_rejected_total", stats.rejected))
+      << text;
+  obs::set_enabled(true);
+}
+
+TEST(Serve, HigherPriorityJobOvertakesQueuedLowerPriority) {
+  // One executor, busy: a low-priority job queues first, a high-priority
+  // one after it — the high-priority job must complete first.
+  ServerConfig cfg;
+  cfg.socket_path = "serve_priority.sock";
+  cfg.workers = 1;
+  Server server(cfg);
+  server.start();
+  auto slow = small_rtl_spec();
+  slow.faults = 400;
+  slow.accel = "none";
+  const int busy = submit_raw(cfg.socket_path, slow);
+  ASSERT_TRUE(wait_until([&] { return server.stats().active == 1; }));
+  auto low = slow;  // slow too, so the completion order is unambiguous
+  low.priority = 5;
+  const int low_fd = submit_raw(cfg.socket_path, low);
+  ASSERT_TRUE(wait_until([&] { return server.stats().queued == 1; }));
+  auto high = small_rtl_spec();
+  high.priority = -1;
+  const int high_fd = submit_raw(cfg.socket_path, high);
+  ASSERT_TRUE(wait_until([&] { return server.stats().queued == 2; }));
+
+  std::atomic<int> order{0};
+  int low_rank = -1, high_rank = -1;
+  std::thread low_reader([&] {
+    EXPECT_EQ(read_final(low_fd).type, FrameType::Result);
+    low_rank = order++;
+  });
+  std::thread high_reader([&] {
+    EXPECT_EQ(read_final(high_fd).type, FrameType::Result);
+    high_rank = order++;
+  });
+  low_reader.join();
+  high_reader.join();
+  EXPECT_EQ(read_final(busy).type, FrameType::Result);
+  EXPECT_LT(high_rank, low_rank);
+  ::close(busy);
+  ::close(low_fd);
+  ::close(high_fd);
+  server.shutdown(true);
 }
 
 TEST(Serve, StatusQueryReportsConfigurationAndCounters) {
