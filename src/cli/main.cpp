@@ -404,6 +404,27 @@ void install_trace_sink(const Options& o) {
     obs::set_trace_sink(obs::TraceSink::open(o.trace_out));
 }
 
+/// The one Options-to-spec mapping of the served commands (submit and the
+/// served report): copies every campaign flag into `spec`. Served default:
+/// jobs=0 means one core, because the daemon's executors are the wide axis.
+void fill_spec(const Options& o, serve::CampaignSpec& spec) {
+  spec.range = o.range;
+  spec.tile = o.tile;
+  spec.fault_model = o.fault_model;
+  spec.fault_duration = o.fault_duration;
+  spec.burst_period = o.burst_period;
+  spec.faults = o.faults;
+  spec.injections = o.injections;
+  spec.seed = o.seed;
+  spec.jobs = o.jobs == 0 ? 1 : o.jobs;
+  spec.accel = o.accel;
+  spec.db_path = o.db_path;
+  spec.models_dir = o.models_dir;
+  spec.priority = o.priority;
+  spec.deadline_ms = o.deadline_ms;
+  spec.progress_interval = o.progress_interval;
+}
+
 /// Telemetry printer for long campaigns: carriage-return progress on stderr
 /// so piped stdout stays machine-readable.
 exec::ProgressFn stderr_progress(const char* unit) {
@@ -683,28 +704,11 @@ int cmd_report(int argc, char** argv) {
     spec.kind = serve::CampaignKind::Rtl;
     spec.op = argv[2];
     spec.module = module_arg;
-    spec.range = o->range;
-    spec.fault_model = o->fault_model;
-    spec.fault_duration = o->fault_duration;
-    spec.burst_period = o->burst_period;
-    spec.faults = o->faults;
-    spec.seed = o->seed;
-    spec.jobs = o->jobs == 0 ? 1 : o->jobs;  // served default: one core
-    spec.accel = o->accel;
-    spec.priority = o->priority;
-    spec.deadline_ms = o->deadline_ms;
-    spec.progress_interval = o->progress_interval;
+    fill_spec(*o, spec);
     if (const auto err = serve::validate_spec(spec)) return usage_error(*err);
     std::string error;
-    const auto r = serve::query_report(
-        o->socket, spec,
-        [](const exec::Progress& p) {
-          std::fprintf(stderr, "\r  %zu/%zu trials (%.1f/s, ETA %.0fs)   ",
-                       p.done, p.total, p.per_second, p.eta_seconds);
-          if (p.done == p.total) std::fputc('\n', stderr);
-          std::fflush(stderr);
-        },
-        &error);
+    const auto r = serve::query_report(o->socket, spec,
+                                       stderr_progress("trials"), &error);
     if (!r) {
       std::fprintf(stderr, "error: %s\n", error.c_str());
       return 1;
@@ -834,34 +838,15 @@ int cmd_submit(int argc, char** argv) {
   if (!o) return 2;
   if (o->fault_models.size() != 1)
     return usage_error("gpufi submit expects a single --fault-model");
-  spec.range = o->range;
-  spec.tile = o->tile;
-  spec.fault_model = o->fault_model;
-  spec.fault_duration = o->fault_duration;
-  spec.burst_period = o->burst_period;
-  spec.faults = o->faults;
-  spec.injections = o->injections;
-  spec.seed = o->seed;
-  spec.jobs = o->jobs == 0 ? 1 : o->jobs;  // served default: one core each
-  spec.accel = o->accel;
-  spec.db_path = o->db_path;
-  spec.models_dir = o->models_dir;
-  spec.priority = o->priority;
-  spec.deadline_ms = o->deadline_ms;
-  spec.progress_interval = o->progress_interval;
+  fill_spec(*o, spec);
   spec.plan = o->plan;
   // --workers on submit is the fabric fan-out width (0 = one local shard);
   // `serve --workers` is the daemon's local executor count.
   spec.workers = o->workers_set ? o->workers : 0;
   if (const auto err = serve::validate_spec(spec)) return usage_error(*err);
 
-  const auto outcome = serve::submit_campaign(
-      o->socket, spec, [](const exec::Progress& p) {
-        std::fprintf(stderr, "\r  %zu/%zu trials (%.1f/s, ETA %.0fs)   ",
-                     p.done, p.total, p.per_second, p.eta_seconds);
-        if (p.done == p.total) std::fputc('\n', stderr);
-        std::fflush(stderr);
-      });
+  const auto outcome =
+      serve::submit_campaign(o->socket, spec, stderr_progress("trials"));
   if (!outcome.ok) {
     std::fprintf(stderr, "error: %s\n", outcome.error.c_str());
     return 1;

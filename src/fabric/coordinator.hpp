@@ -145,10 +145,12 @@ class Coordinator {
   /// Port actually bound (TCP listen endpoints with port 0); 0 for unix.
   std::uint16_t port() const;
   const CoordinatorConfig& config() const { return cfg_; }
-  /// The local executors' golden and syndrome-database caches.
+  /// The local executors' golden and syndrome-database caches, counted in
+  /// metrics().
   serve::Caches& caches() { return caches_; }
-  /// This pool's lifecycle counters, read by stats() and rendered into the
-  /// daemon's metrics exposition; counted whether or not obs is enabled.
+  /// This pool's lifecycle and cache counters, read by stats() and rendered
+  /// into the daemon's metrics exposition; counted whether or not obs is
+  /// enabled.
   obs::Registry& metrics() { return metrics_; }
 
  private:
@@ -201,8 +203,8 @@ class Coordinator {
   void logf(const char* fmt, ...);
 
   CoordinatorConfig cfg_;
-  serve::Caches caches_;
   obs::Registry metrics_;
+  serve::Caches caches_{metrics_};
   obs::Counter& workers_registered_;
   obs::Counter& workers_rejected_;
   obs::Counter& shards_dispatched_;

@@ -1,6 +1,7 @@
 #include "fabric/protocol.hpp"
 
 #include <bit>
+#include <ranges>
 #include <type_traits>
 #include <utility>
 
@@ -17,40 +18,107 @@ using serve::put_kv;
 std::uint64_t double_bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 double bits_double(std::uint64_t b) { return std::bit_cast<double>(b); }
 
-/// Space-separated field scanner for the packed per-record lines.
+/// Appends the values of a packed line: enums and flags as their numeric
+/// values, a range as one value per element.
+template <class T>
+void put_field(std::string& out, char& sep, const T& v) {
+  if constexpr (std::ranges::range<T>) {
+    for (const auto& e : v) put_field(out, sep, e);
+  } else {
+    out += sep;
+    sep = ' ';
+    if constexpr (std::is_enum_v<T>)
+      out += std::to_string(static_cast<unsigned>(v));
+    else
+      out += std::to_string(v);
+  }
+}
+
+/// Appends one packed line, "key=v1 v2 ...\n".
+template <class... Ts>
+void put_fields(std::string& out, std::string_view key, const Ts&... vs) {
+  out += key;
+  char sep = '=';
+  (put_field(out, sep, vs), ...);
+  out += '\n';
+}
+
+/// The one checked narrowing of a decoded integer to its field's type: a
+/// value that does not fit fails the reader instead of wrapping.
+template <class T, class Int>
+T narrow(KvReader& c, Int v) {
+  if (!std::in_range<T>(v)) c.fail("value out of range: " + std::to_string(v));
+  return static_cast<T>(v);
+}
+
+/// The next line's value (which must carry `key`), narrowed to T.
+template <class T>
+T take(KvReader& c, std::string_view key) {
+  return narrow<T>(c, c.take_u64(key));
+}
+
+/// Flags cross the wire as 0 or 1; any other value is not canonical.
+bool flag(KvReader& c, std::uint64_t v) {
+  if (v > 1) c.fail("bad flag: " + std::to_string(v));
+  return v != 0;
+}
+
+/// Field scanner for the packed per-record lines: fields are separated by
+/// exactly one space, so the only accepted spelling is the encoder's.
 struct Fields {
   std::string_view rest;
   KvReader* c;
+  bool end = false;  ///< the last field has been read
 
   std::string_view token() {
-    while (!rest.empty() && rest.front() == ' ') rest.remove_prefix(1);
+    if (end) {
+      c->fail("missing record field");
+      return {};
+    }
     const auto sp = rest.find(' ');
     const auto tok = rest.substr(0, sp);
-    rest = sp == std::string_view::npos ? std::string_view{}
-                                        : rest.substr(sp + 1);
+    end = sp == std::string_view::npos;
+    rest = end ? std::string_view{} : rest.substr(sp + 1);
     return tok;
   }
 
-  std::uint64_t next() { return c->u64(token()); }
-
-  std::int64_t next_i64() {
+  template <class T = std::uint64_t>
+  T next() {
     const auto tok = token();
-    const auto v = serve::parse_i64(tok);
-    if (!v) c->fail("bad number: '" + std::string(tok) + "'");
-    return v.value_or(0);
+    if constexpr (std::is_signed_v<T>) {
+      const auto v = serve::parse_i64(tok);
+      if (!v) c->fail("bad number: '" + std::string(tok) + "'");
+      return narrow<T>(*c, v.value_or(0));
+    } else {
+      return narrow<T>(*c, c->u64(tok));
+    }
+  }
+
+  bool next_flag() { return flag(*c, next()); }
+
+  template <class Enum>
+  Enum next_enum(std::uint64_t n_values, const char* what) {
+    const auto raw = next();
+    if (raw >= n_values) c->fail(std::string("bad ") + what);
+    return static_cast<Enum>(raw);
   }
 
   void done() {
-    while (!rest.empty() && rest.front() == ' ') rest.remove_prefix(1);
-    if (!rest.empty()) c->fail("trailing record fields");
+    if (!end) c->fail("trailing record fields");
   }
 };
 
-template <class Enum>
-Enum take_enum(KvReader& c, std::uint64_t raw, std::uint64_t n_values,
-               const char* what) {
-  if (raw >= n_values) c.fail(std::string("bad ") + what);
-  return static_cast<Enum>(raw);
+/// Inserts a decoded map entry, which must sort after every entry before it
+/// (the encoder writes maps in key order, so any other order would re-encode
+/// to other bytes).
+template <class Map, class Key, class Value>
+void append_sorted(KvReader& c, Map& map, const Key& key, const Value& value,
+                   const char* what) {
+  if (!c.ok()) return;
+  if (!map.empty() && !(map.rbegin()->first < key))
+    c.fail(std::string("out-of-order or duplicate ") + what);
+  else
+    map.emplace_hint(map.end(), key, value);
 }
 
 /// Splits "header\n<marker>\n<raw tail>": the header lines before the
@@ -97,7 +165,7 @@ std::string encode_hello(const Hello& h) {
 std::optional<Hello> decode_hello(std::string_view payload) {
   KvReader c(payload);
   Hello h;
-  h.version = static_cast<std::uint32_t>(c.take_u64("version"));
+  h.version = take<std::uint32_t>(c, "version");
   h.name = std::string(c.take("name"));
   h.pid = c.take_u64("pid");
   if (!c.ok() || !c.at_end()) return std::nullopt;
@@ -126,11 +194,11 @@ std::optional<ShardRequest> decode_shard_request(std::string_view payload,
   if (!marked) c.fail("missing spec marker");
   ShardRequest r;
   r.job = c.take_u64("job");
-  r.shard_index = static_cast<std::uint32_t>(c.take_u64("shard"));
-  r.n_shards = static_cast<std::uint32_t>(c.take_u64("n_shards"));
+  r.shard_index = take<std::uint32_t>(c, "shard");
+  r.n_shards = take<std::uint32_t>(c, "n_shards");
   r.trial_offset = c.take_u64("offset");
   r.trial_count = c.take_u64("count");
-  r.final_payload = c.take_u64("final") != 0;
+  r.final_payload = flag(c, c.take_u64("final"));
   if (!c.at_end()) c.fail("unexpected shard-request key");
   std::string spec_err;
   if (c.ok()) {
@@ -166,7 +234,7 @@ std::optional<Msg> decode_reply(std::string_view payload,
   KvReader c(head);
   Msg m;
   m.job = c.take_u64("job");
-  m.shard_index = static_cast<std::uint32_t>(c.take_u64("shard"));
+  m.shard_index = take<std::uint32_t>(c, "shard");
   if (!c.ok() || !c.at_end()) return std::nullopt;
   if constexpr (std::is_same_v<Msg, ShardResultMsg>)
     m.payload = std::string(tail);
@@ -207,7 +275,7 @@ std::optional<ShardProgressMsg> decode_shard_progress(
   KvReader c(payload);
   ShardProgressMsg m;
   m.job = c.take_u64("job");
-  m.shard_index = static_cast<std::uint32_t>(c.take_u64("shard"));
+  m.shard_index = take<std::uint32_t>(c, "shard");
   m.done = c.take_u64("done");
   m.total = c.take_u64("total");
   if (!c.ok() || !c.at_end()) return std::nullopt;
@@ -230,87 +298,24 @@ std::string encode_rtl_partial(const rtlfi::CampaignResult& r) {
   put_kv(out, "converged_early", r.converged_early);
   put_kv(out, "records", r.records.size());
   for (const auto& rec : r.records) {
-    out += "r=";
-    out += std::to_string(static_cast<unsigned>(rec.fault.module));
-    out += ' ';
-    out += std::to_string(rec.fault.bit);
-    out += ' ';
-    out += std::to_string(rec.fault.cycle);
-    out += ' ';
-    out += std::to_string(static_cast<unsigned>(rec.fault.model));
-    out += ' ';
-    out += std::to_string(rec.fault.duration);
-    out += ' ';
-    out += std::to_string(rec.fault.period);
-    out += ' ';
-    out += std::to_string(static_cast<unsigned>(rec.role));
-    out += ' ';
-    out += std::to_string(static_cast<unsigned>(rec.outcome));
-    out += ' ';
-    out += std::to_string(static_cast<unsigned>(rec.due_reason_code));
-    out += ' ';
-    out += std::to_string(rec.corrupted_elements);
-    out += ' ';
-    out += std::to_string(rec.corrupted_threads);
-    out += ' ';
-    out += std::to_string(rec.site.live ? 1 : 0);
-    out += ' ';
-    out += std::to_string(rec.site.dyn_index);
-    out += ' ';
-    out += std::to_string(rec.site.pc);
-    out += ' ';
-    out += std::to_string(rec.site.cta);
-    out += ' ';
-    out += std::to_string(rec.site.warp);
-    out += ' ';
-    out += std::to_string(static_cast<unsigned>(rec.site.op));
-    out += ' ';
-    out += std::to_string(static_cast<unsigned>(rec.site.stage));
-    out += ' ';
-    out += std::to_string(rec.site.unit_busy ? 1 : 0);
-    out += ' ';
-    out += std::to_string(rec.diffs.size());
-    out += '\n';
+    put_fields(out, "r", rec.fault.module, rec.fault.bit, rec.fault.cycle,
+               rec.fault.model, rec.fault.duration, rec.fault.period,
+               rec.role, rec.outcome, rec.due_reason_code,
+               rec.corrupted_elements, rec.corrupted_threads, rec.site.live,
+               rec.site.dyn_index, rec.site.pc, rec.site.cta, rec.site.warp,
+               rec.site.op, rec.site.stage, rec.site.unit_busy,
+               rec.diffs.size());
     put_kv(out, "f", rec.field);
     put_kv(out, "w", rec.due_reason);
-    for (const auto& d : rec.diffs) {
-      out += "d=";
-      out += std::to_string(d.index);
-      out += ' ';
-      out += std::to_string(d.golden);
-      out += ' ';
-      out += std::to_string(d.faulty);
-      out += ' ';
-      out += std::to_string(double_bits(d.rel_error));
-      out += ' ';
-      out += std::to_string(d.bits_flipped);
-      out += '\n';
-    }
+    for (const auto& d : rec.diffs)
+      put_fields(out, "d", d.index, d.golden, d.faulty,
+                 double_bits(d.rel_error), d.bits_flipped);
   }
   put_kv(out, "attrs", r.attribution.size());
-  for (const auto& [key, counts] : r.attribution) {
-    out += "a=";
-    out += std::to_string(key.live ? 1 : 0);
-    out += ' ';
-    out += std::to_string(key.pc);
-    out += ' ';
-    out += std::to_string(static_cast<unsigned>(key.op));
-    out += ' ';
-    out += std::to_string(counts.hits);
-    out += ' ';
-    out += std::to_string(counts.masked);
-    out += ' ';
-    out += std::to_string(counts.sdc_single);
-    out += ' ';
-    out += std::to_string(counts.sdc_multi);
-    out += ' ';
-    out += std::to_string(counts.due);
-    for (const auto n : counts.due_by_reason) {
-      out += ' ';
-      out += std::to_string(n);
-    }
-    out += '\n';
-  }
+  for (const auto& [key, counts] : r.attribution)
+    put_fields(out, "a", key.live, key.pc, key.op, counts.hits,
+               counts.masked, counts.sdc_single, counts.sdc_multi, counts.due,
+               counts.due_by_reason);
   return out;
 }
 
@@ -330,31 +335,27 @@ std::optional<rtlfi::CampaignResult> decode_rtl_partial(
   for (std::uint64_t i = 0; c.ok() && i < n_records; ++i) {
     rtlfi::InjectionRecord rec;
     Fields f{c.take("r"), &c};
-    rec.fault.module = take_enum<rtl::Module>(c, f.next(), rtl::kNumModules,
-                                              "module");
-    rec.fault.bit = static_cast<std::uint32_t>(f.next());
+    rec.fault.module = f.next_enum<rtl::Module>(rtl::kNumModules, "module");
+    rec.fault.bit = f.next<std::uint32_t>();
     rec.fault.cycle = f.next();
-    rec.fault.model = take_enum<rtl::FaultModel>(c, f.next(),
-                                                 rtl::kNumFaultModels,
-                                                 "fault model");
+    rec.fault.model =
+        f.next_enum<rtl::FaultModel>(rtl::kNumFaultModels, "fault model");
     rec.fault.duration = f.next();
     rec.fault.period = f.next();
-    rec.role = take_enum<rtl::FieldRole>(c, f.next(), kNumRoles, "role");
-    rec.outcome = take_enum<rtlfi::Outcome>(c, f.next(), kNumOutcomes,
-                                            "outcome");
-    rec.due_reason_code = take_enum<vocab::DueReason>(
-        c, f.next(), vocab::kNumDueReasons, "due reason");
-    rec.corrupted_elements = static_cast<unsigned>(f.next());
-    rec.corrupted_threads = static_cast<unsigned>(f.next());
-    rec.site.live = f.next() != 0;
+    rec.role = f.next_enum<rtl::FieldRole>(kNumRoles, "role");
+    rec.outcome = f.next_enum<rtlfi::Outcome>(kNumOutcomes, "outcome");
+    rec.due_reason_code =
+        f.next_enum<vocab::DueReason>(vocab::kNumDueReasons, "due reason");
+    rec.corrupted_elements = f.next<unsigned>();
+    rec.corrupted_threads = f.next<unsigned>();
+    rec.site.live = f.next_flag();
     rec.site.dyn_index = f.next();
     rec.site.pc = f.next();
-    rec.site.cta = static_cast<std::uint32_t>(f.next());
-    rec.site.warp = static_cast<std::uint32_t>(f.next());
-    rec.site.op = take_enum<isa::Opcode>(c, f.next(), kNumOpcodes, "opcode");
-    rec.site.stage = take_enum<rtl::PipeStage>(c, f.next(), kNumStages,
-                                               "stage");
-    rec.site.unit_busy = f.next() != 0;
+    rec.site.cta = f.next<std::uint32_t>();
+    rec.site.warp = f.next<std::uint32_t>();
+    rec.site.op = f.next_enum<isa::Opcode>(kNumOpcodes, "opcode");
+    rec.site.stage = f.next_enum<rtl::PipeStage>(kNumStages, "stage");
+    rec.site.unit_busy = f.next_flag();
     const auto n_diffs = f.next();
     f.done();
     rec.field = std::string(c.take("f"));
@@ -362,11 +363,11 @@ std::optional<rtlfi::CampaignResult> decode_rtl_partial(
     for (std::uint64_t j = 0; c.ok() && j < n_diffs; ++j) {
       rtlfi::ElementDiff d;
       Fields df{c.take("d"), &c};
-      d.index = static_cast<std::uint32_t>(df.next());
-      d.golden = static_cast<std::uint32_t>(df.next());
-      d.faulty = static_cast<std::uint32_t>(df.next());
+      d.index = df.next<std::uint32_t>();
+      d.golden = df.next<std::uint32_t>();
+      d.faulty = df.next<std::uint32_t>();
       d.rel_error = bits_double(df.next());
-      d.bits_flipped = static_cast<unsigned>(df.next());
+      d.bits_flipped = df.next<unsigned>();
       df.done();
       rec.diffs.push_back(d);
     }
@@ -376,9 +377,9 @@ std::optional<rtlfi::CampaignResult> decode_rtl_partial(
   for (std::uint64_t i = 0; c.ok() && i < n_attrs; ++i) {
     Fields f{c.take("a"), &c};
     attr::SiteKey key;
-    key.live = f.next() != 0;
+    key.live = f.next_flag();
     key.pc = f.next();
-    key.op = take_enum<isa::Opcode>(c, f.next(), kNumOpcodes, "opcode");
+    key.op = f.next_enum<isa::Opcode>(kNumOpcodes, "opcode");
     attr::SiteCounts counts;
     counts.hits = f.next();
     counts.masked = f.next();
@@ -387,8 +388,7 @@ std::optional<rtlfi::CampaignResult> decode_rtl_partial(
     counts.due = f.next();
     for (auto& n : counts.due_by_reason) n = f.next();
     f.done();
-    if (c.ok() && !r.attribution.emplace(key, counts).second)
-      c.fail("duplicate attribution site");
+    append_sorted(c, r.attribution, key, counts, "attribution site");
   }
   if (!c.at_end()) c.fail("trailing rtl partial bytes");
   if (!c.ok()) return failed(c, error);
@@ -407,29 +407,11 @@ std::string encode_sw_partial(const swfi::Result& r) {
   put_kv(out, "sdc", r.sdc);
   put_kv(out, "due", r.due);
   put_kv(out, "candidates", r.candidate_instructions);
-  out += "pc_counts=";
-  out += std::to_string(r.pc_exec_counts.size());
-  for (const auto n : r.pc_exec_counts) {
-    out += ' ';
-    out += std::to_string(n);
-  }
-  out += '\n';
+  put_fields(out, "pc_counts", r.pc_exec_counts.size(), r.pc_exec_counts);
   put_kv(out, "sites", r.sites.size());
-  for (const auto& [key, counts] : r.sites) {
-    out += "s=";
-    out += std::to_string(key.first);
-    out += ' ';
-    out += std::to_string(static_cast<unsigned>(key.second));
-    out += ' ';
-    out += std::to_string(counts.hits);
-    out += ' ';
-    out += std::to_string(counts.masked);
-    out += ' ';
-    out += std::to_string(counts.sdc);
-    out += ' ';
-    out += std::to_string(counts.due);
-    out += '\n';
-  }
+  for (const auto& [key, counts] : r.sites)
+    put_fields(out, "s", key.first, key.second, counts.hits, counts.masked,
+               counts.sdc, counts.due);
   return out;
 }
 
@@ -455,16 +437,15 @@ std::optional<swfi::Result> decode_sw_partial(std::string_view payload,
   const auto n_sites = c.take_u64("sites");
   for (std::uint64_t i = 0; c.ok() && i < n_sites; ++i) {
     Fields f{c.take("s"), &c};
-    const auto pc = static_cast<std::int32_t>(f.next_i64());
-    const auto op = take_enum<isa::Opcode>(c, f.next(), kNumOpcodes, "opcode");
+    const auto pc = f.next<std::int32_t>();
+    const auto op = f.next_enum<isa::Opcode>(kNumOpcodes, "opcode");
     swfi::SwSiteCounts counts;
     counts.hits = f.next();
     counts.masked = f.next();
     counts.sdc = f.next();
     counts.due = f.next();
     f.done();
-    if (c.ok() && !r.sites.emplace(std::make_pair(pc, op), counts).second)
-      c.fail("duplicate sw site");
+    append_sorted(c, r.sites, std::make_pair(pc, op), counts, "sw site");
   }
   if (!c.at_end()) c.fail("trailing sw partial bytes");
   if (!c.ok()) return failed(c, error);

@@ -10,17 +10,20 @@
 //  * Control messages (Hello, ShardRequest, ...) — deterministic
 //    "key=value\n" text like the rest of the serve protocol.
 //
-//  * Shard partials — the LOSSLESS serializations of rtlfi::CampaignResult
-//    and swfi::Result a worker ships back for a non-final shard. The
-//    public Result payload (serve::serialize_campaign_result) is lossy —
-//    it drops FaultSpec temporal fields and distills the syndrome DB from
-//    the in-memory result — so the coordinator cannot merge from it.
-//    These codecs round-trip every field bit for bit (doubles cross the
-//    wire as u64 bit patterns), letting the coordinator reassemble the
-//    exact in-memory result run_trials would have produced and THEN apply
-//    the same public serialization as the offline path. Enums are encoded
-//    numerically; the Hello version handshake guarantees both ends agree
-//    on the numbering.
+//  * Result codecs — the ONE serialization of rtlfi::CampaignResult and of
+//    swfi::Result. They round-trip every field bit for bit (doubles cross
+//    the wire as u64 bit patterns, enums as their numeric values), and the
+//    decoders accept only the encoder's spelling: a decoded result
+//    re-encodes to exactly the bytes it came from. A worker ships them as
+//    the partial of a trial-range shard; the coordinator merges the
+//    decoded partials in shard order. The public Result payloads
+//    (serve::serialize_campaign_result / serialize_sw_result) are these
+//    same bytes under a short header, so a merged result serializes
+//    exactly as the offline run does. The Hello version handshake makes
+//    both ends agree on the enum numbering.
+//
+// Every decoder reads integers through one checked narrowing: a value that
+// does not fit its field is rejected, never wrapped.
 
 #include <cstdint>
 #include <optional>
@@ -108,7 +111,7 @@ std::string encode_shard_progress(const ShardProgressMsg& m);
 std::optional<ShardProgressMsg> decode_shard_progress(std::string_view payload);
 
 // ---------------------------------------------------------------------------
-// Lossless shard partials.
+// Result codecs (shard partials and the body of the public payloads).
 // ---------------------------------------------------------------------------
 
 std::string encode_rtl_partial(const rtlfi::CampaignResult& r);

@@ -74,7 +74,10 @@ class Worker {
   bool send(serve::FrameType type, std::string payload);
 
   WorkerConfig cfg_;
-  serve::Caches caches_;
+  /// The worker's own counters: its cache lookups count here, not in the
+  /// registry of a daemon that may share its process.
+  obs::Registry metrics_;
+  serve::Caches caches_{metrics_};
   int fd_ = -1;
   std::mutex write_mutex_;  ///< results, progress and heartbeats interleave
   std::thread loop_;

@@ -35,39 +35,33 @@ class SharedCache {
  public:
   using Ptr = std::shared_ptr<const Value>;
 
-  /// `cache_label` names this cache in the metrics exposition
-  /// (gpufi_serve_cache_{hits,misses}_total{cache="..."}); empty = no
-  /// metrics.
-  explicit SharedCache(std::string cache_label = {}) {
-    if (!cache_label.empty()) {
-      hits_metric_ = obs::label("gpufi_serve_cache_hits_total", "cache",
-                                cache_label);
-      misses_metric_ = obs::label("gpufi_serve_cache_misses_total", "cache",
-                                  cache_label);
-    }
-  }
+  /// Counts lookups in the registry of the cache's owner, as
+  /// gpufi_serve_cache_{hits,misses}_total{cache="<label>"}. stats() reads
+  /// those same counters, so a Stats frame and an exposition of `metrics`
+  /// cannot disagree. They count whether or not obs is enabled.
+  SharedCache(obs::Registry& metrics, std::string_view label)
+      : hits_(metrics.counter(
+            obs::label("gpufi_serve_cache_hits_total", "cache", label))),
+        misses_(metrics.counter(
+            obs::label("gpufi_serve_cache_misses_total", "cache", label))) {}
 
   Ptr get_or_compute(const std::string& key,
                      const std::function<Value()>& compute) {
     std::shared_future<Ptr> flight;
     std::promise<Ptr> promise;
     bool owner = false;
-    bool hit = false;
     {
       std::lock_guard<std::mutex> lock(mutex_);
       auto it = entries_.find(key);
       if (it != entries_.end()) {
-        ++stats_.hits;
-        hit = true;
         flight = it->second;
       } else {
-        ++stats_.misses;
         flight = promise.get_future().share();
         entries_.emplace(key, flight);
         owner = true;
       }
     }
-    if (!hits_metric_.empty()) obs::count(hit ? hits_metric_ : misses_metric_);
+    (owner ? misses_ : hits_).add();
     if (owner) {
       try {
         promise.set_value(std::make_shared<const Value>(compute()));
@@ -82,10 +76,7 @@ class SharedCache {
     return flight.get();  // rethrows the owner's exception, if any
   }
 
-  CacheStats stats() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return stats_;
-  }
+  CacheStats stats() const { return {hits_.value(), misses_.value()}; }
 
   std::size_t size() const {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -95,14 +86,16 @@ class SharedCache {
  private:
   mutable std::mutex mutex_;
   std::map<std::string, std::shared_future<Ptr>> entries_;
-  CacheStats stats_;
-  std::string hits_metric_, misses_metric_;
+  obs::Counter& hits_;
+  obs::Counter& misses_;
 };
 
-/// The two caches a gpufi-serve process shares across requests.
+/// The two caches an executor tier shares across requests, counted in its
+/// owner's registry as cache="db" and cache="golden".
 class Caches {
  public:
-  Caches() : dbs_("db"), goldens_("golden") {}
+  explicit Caches(obs::Registry& metrics)
+      : dbs_(metrics, "db"), goldens_(metrics, "golden") {}
 
   /// Syndrome database by file path: loads (or builds and saves) once via
   /// core::ensure_syndrome_database, then serves the parsed object to every

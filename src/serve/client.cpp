@@ -1,5 +1,6 @@
 #include "serve/client.hpp"
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -14,6 +15,23 @@ int connect_socket(const std::string& socket_path) {
   ep.path = socket_path;
   return fabric::connect_endpoint(ep);
 }
+
+namespace {
+
+/// Closes a job's connection once the daemon has: the daemon counts the
+/// job's outcome after writing its final frame and before closing, so a
+/// client that returns after this sees that count in the next Stats frame.
+void close_after_peer(int fd) {
+  char byte;
+  for (;;) {
+    const ssize_t n = ::recv(fd, &byte, 1, 0);
+    if (n > 0 || (n < 0 && errno == EINTR)) continue;
+    break;
+  }
+  ::close(fd);
+}
+
+}  // namespace
 
 SubmitOutcome submit_campaign(
     const std::string& socket_path, const CampaignSpec& spec,
@@ -55,7 +73,7 @@ SubmitOutcome submit_campaign(
     }
     break;
   }
-  ::close(fd);
+  close_after_peer(fd);
   return out;
 }
 
@@ -136,7 +154,7 @@ std::optional<std::string> query_report(
       }
       continue;
     }
-    ::close(fd);
+    close_after_peer(fd);
     if (f.type == FrameType::Report) return std::move(f.payload);
     return fail(f.type == FrameType::Error
                     ? std::move(f.payload)

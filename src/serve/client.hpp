@@ -26,7 +26,9 @@ struct SubmitOutcome {
 };
 
 /// Submits `spec` and blocks until the server answers with Result or Error
-/// (invoking `on_progress`, when given, per Progress frame in between).
+/// (invoking `on_progress`, when given, per Progress frame in between) and
+/// closes the connection, by which time the job's outcome is counted in the
+/// daemon's stats.
 SubmitOutcome submit_campaign(
     const std::string& socket_path, const CampaignSpec& spec,
     const std::function<void(const exec::Progress&)>& on_progress = {});
@@ -44,8 +46,9 @@ std::optional<std::string> query_metrics(const std::string& socket_path,
 
 /// Sends a ReportRequest (spec kind must be rtl) and blocks until the
 /// server answers with a Report or Error frame, invoking `on_progress`,
-/// when given, per Progress frame in between. Returns the report JSON, or
-/// nullopt filling `error`.
+/// when given, per Progress frame in between, then waits for the server to
+/// close as submit_campaign does. Returns the report JSON, or nullopt
+/// filling `error`.
 std::optional<std::string> query_report(
     const std::string& socket_path, const CampaignSpec& spec,
     const std::function<void(const exec::Progress&)>& on_progress = {},

@@ -10,6 +10,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "fabric/protocol.hpp"
 #include "syndrome/syndrome.hpp"
 
 namespace gpufi::serve {
@@ -47,6 +48,15 @@ std::optional<T> parse_number(std::string_view s) {
   return v;
 }
 
+/// Only the canonical spelling parses: "05" or "-0" would decode to a value
+/// that re-encodes to other bytes.
+template <class T>
+std::optional<T> parse_integer(std::string_view s) {
+  const auto digits = s.substr(s.starts_with('-') ? 1 : 0);
+  if (digits.starts_with('0') && s != "0") return std::nullopt;
+  return parse_number<T>(s);
+}
+
 }  // namespace
 
 void put_kv(std::string& out, std::string_view key, std::string_view value) {
@@ -64,11 +74,11 @@ void put_kv(std::string& out, std::string_view key, std::uint64_t value) {
 }
 
 std::optional<std::uint64_t> parse_u64(std::string_view s) {
-  return parse_number<std::uint64_t>(s);
+  return parse_integer<std::uint64_t>(s);
 }
 
 std::optional<std::int64_t> parse_i64(std::string_view s) {
-  return parse_number<std::int64_t>(s);
+  return parse_integer<std::int64_t>(s);
 }
 
 void KvReader::fail(std::string msg) {
@@ -382,108 +392,7 @@ std::string serialize_campaign_result(const CampaignSpec& spec,
   std::string out;
   put_kv(out, "kind", campaign_kind_name(spec.kind));
   put_kv(out, "fault_model", spec.fault_model);
-  put_kv(out, "injected", r.injected);
-  put_kv(out, "masked", r.masked);
-  put_kv(out, "sdc_single", r.sdc_single);
-  put_kv(out, "sdc_multi", r.sdc_multi);
-  put_kv(out, "due", r.due);
-  put_kv(out, "golden_cycles", r.golden_cycles);
-  put_kv(out, "converged_early", r.converged_early);
-  // Record-format version: v2 adds the per-record fault-site line and the
-  // per-site attribution table (v1 payloads had neither line and no
-  // record_version key).
-  put_kv(out, "record_version", std::uint64_t{2});
-  put_kv(out, "records", r.records.size());
-  for (const auto& rec : r.records) {
-    std::string line;
-    line += std::to_string(static_cast<unsigned>(rec.fault.module));
-    line += ' ';
-    line += std::to_string(rec.fault.bit);
-    line += ' ';
-    line += std::to_string(rec.fault.cycle);
-    line += ' ';
-    line += rec.field;
-    line += ' ';
-    line += rec.role == rtl::FieldRole::Data ? "data" : "control";
-    line += ' ';
-    line += rtlfi::outcome_name(rec.outcome);
-    line += ' ';
-    line += std::to_string(rec.corrupted_elements);
-    line += ' ';
-    line += std::to_string(rec.corrupted_threads);
-    line += ' ';
-    line += std::to_string(rec.diffs.size());
-    if (!rec.due_reason.empty()) {
-      line += " # ";
-      line += rec.due_reason;
-    }
-    put_kv(out, "record", line);
-    // v2: the fault-site context joined from the golden liveness timeline.
-    {
-      std::string sl;
-      sl += rec.site.live ? "live" : "idle";
-      sl += ' ';
-      sl += std::to_string(rec.site.dyn_index);
-      sl += ' ';
-      sl += std::to_string(rec.site.cta);
-      sl += ' ';
-      sl += std::to_string(rec.site.warp);
-      sl += ' ';
-      sl += std::to_string(rec.site.pc);
-      sl += ' ';
-      sl += rec.site.live ? isa::mnemonic(rec.site.op) : std::string_view("-");
-      sl += ' ';
-      sl += rtl::stage_name(rec.site.stage);
-      sl += ' ';
-      sl += rec.site.unit_busy ? '1' : '0';
-      sl += ' ';
-      sl += vocab::due_reason_token(rec.due_reason_code);
-      put_kv(out, "site", sl);
-    }
-    for (const auto& d : rec.diffs) {
-      std::string dl;
-      dl += std::to_string(d.index);
-      dl += ' ';
-      dl += std::to_string(d.golden);
-      dl += ' ';
-      dl += std::to_string(d.faulty);
-      dl += ' ';
-      dl += fmt_double(d.rel_error);
-      dl += ' ';
-      dl += std::to_string(d.bits_flipped);
-      put_kv(out, "diff", dl);
-    }
-  }
-
-  // v2: the per-site attribution table (every trial lands in exactly one
-  // bucket; the hits over all lines sum to `injected`).
-  put_kv(out, "attr_sites", r.attribution.size());
-  for (const auto& [key, counts] : r.attribution) {
-    std::string al;
-    al += key.live ? "live" : "idle";
-    al += ' ';
-    al += std::to_string(key.pc);
-    al += ' ';
-    al += key.live ? isa::mnemonic(key.op) : std::string_view("-");
-    al += ' ';
-    al += std::to_string(counts.hits);
-    al += ' ';
-    al += std::to_string(counts.masked);
-    al += ' ';
-    al += std::to_string(counts.sdc_single);
-    al += ' ';
-    al += std::to_string(counts.sdc_multi);
-    al += ' ';
-    al += std::to_string(counts.due);
-    for (std::size_t i = 0; i < counts.due_by_reason.size(); ++i) {
-      if (counts.due_by_reason[i] == 0) continue;
-      al += ' ';
-      al += vocab::due_reason_token(static_cast<vocab::DueReason>(i));
-      al += ':';
-      al += std::to_string(counts.due_by_reason[i]);
-    }
-    put_kv(out, "attr", al);
-  }
+  out += fabric::encode_rtl_partial(r);
 
   // The campaign's distilled syndrome-database bytes: the artifact the
   // two-level hand-off consumes, pinned verbatim by the served-equals-offline
@@ -513,22 +422,14 @@ std::string serialize_campaign_result(const CampaignSpec& spec,
 std::string serialize_sw_result(const swfi::Result& r) {
   std::string out;
   put_kv(out, "kind", "sw");
-  put_kv(out, "injections", r.injections);
-  put_kv(out, "masked", r.masked);
-  put_kv(out, "sdc", r.sdc);
-  put_kv(out, "due", r.due);
-  put_kv(out, "candidates", r.candidate_instructions);
+  out += fabric::encode_sw_partial(r);
   return out;
 }
 
 std::string serialize_planned_sw_result(const swfi::PlanResult& r) {
   std::string out;
   put_kv(out, "kind", "sw-planned");
-  put_kv(out, "injections", r.result.injections);
-  put_kv(out, "masked", r.result.masked);
-  put_kv(out, "sdc", r.result.sdc);
-  put_kv(out, "due", r.result.due);
-  put_kv(out, "candidates", r.result.candidate_instructions);
+  out += fabric::encode_sw_partial(r.result);
   put_kv(out, "adaptive", std::uint64_t{r.adaptive ? 1u : 0u});
   put_kv(out, "planned_trials", r.planned_trials);
   put_kv(out, "trials_saved", r.trials_saved);

@@ -148,7 +148,8 @@ void put_kv(std::string& out, std::string_view key, std::uint64_t value);
 
 /// Strict integer parses (std::from_chars over the whole string): decimal
 /// digits only, a leading '-' for the signed form, no '+', no whitespace,
-/// no overflow. nullopt on anything else.
+/// no leading zero, no "-0", no overflow. nullopt on anything else, so a
+/// parsed value re-encodes to exactly the bytes it was read from.
 std::optional<std::uint64_t> parse_u64(std::string_view s);
 std::optional<std::int64_t> parse_i64(std::string_view s);
 
@@ -267,21 +268,26 @@ std::optional<exec::Progress> decode_progress(std::string_view payload);
 
 // ---------------------------------------------------------------------------
 // Result payloads — deterministic serializations the byte-identity contract
-// is defined over. Floating-point values print with max_digits10 (lossless).
+// is defined over. The rtl and sw payloads carry the one lossless result
+// codec (fabric::encode_rtl_partial / encode_sw_partial) under a short
+// header, so they pin every field of the in-memory result.
 // ---------------------------------------------------------------------------
 
-/// RTL / t-MxM campaign: every counter, every record (fault site, field,
-/// outcome, diffs), and the syndrome-database bytes the campaign distills to
-/// (add_campaign for rtl, add_tmxm_campaign for tmxm).
+/// RTL / t-MxM campaign: "kind=" and "fault_model=" lines, then
+/// fabric::encode_rtl_partial(r), then "--- syndrome-db ---" and the
+/// syndrome-database bytes the campaign distills to (add_campaign for rtl,
+/// add_tmxm_campaign for tmxm).
 std::string serialize_campaign_result(const CampaignSpec& spec,
                                       const rtlfi::CampaignResult& r);
 
-/// Software campaign counters.
+/// Software campaign: "kind=sw", then fabric::encode_sw_partial(r).
 std::string serialize_sw_result(const swfi::Result& r);
 
-/// Planned software campaign: the fixed-campaign counters plus the planner's
-/// stratified estimate and one line per stratum (opcode, range, candidates,
-/// budget, trials, outcome tallies, stop reason, Wilson half-width).
+/// Planned software campaign: "kind=sw-planned", then
+/// fabric::encode_sw_partial(r.result), then the planner's stratified
+/// estimate and one line per stratum (opcode, range, candidates, budget,
+/// trials, outcome tallies, stop reason, Wilson half-width; doubles print
+/// with max_digits10).
 std::string serialize_planned_sw_result(const swfi::PlanResult& r);
 
 /// CNN campaign counters (criticality split included).

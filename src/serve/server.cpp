@@ -156,7 +156,8 @@ std::string run_spec(const CampaignSpec& spec, Caches& caches,
 }
 
 std::string run_spec_offline(const CampaignSpec& spec) {
-  Caches fresh;
+  obs::Registry metrics;
+  Caches fresh(metrics);
   return run_spec(spec, fresh, {}, nullptr);
 }
 

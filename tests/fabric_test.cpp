@@ -19,6 +19,7 @@
 #include "fabric/protocol.hpp"
 #include "fabric/transport.hpp"
 #include "fabric/worker.hpp"
+#include "obs/metrics.hpp"
 #include "rtlfi/campaign.hpp"
 #include "rtlfi/microbench.hpp"
 #include "serve/client.hpp"
@@ -56,6 +57,30 @@ serve::CampaignSpec sw_spec() {
   spec.seed = 11;
   spec.jobs = 1;
   return spec;
+}
+
+/// A 32-fault FFMA campaign that keeps every record (masked, DUE and
+/// multi-element SDC records alike).
+rtlfi::CampaignResult records_campaign() {
+  const auto w = rtlfi::make_microbenchmark(isa::Opcode::FFMA,
+                                            rtlfi::InputRange::Medium, 7);
+  rtlfi::CampaignConfig cfg;
+  cfg.module = rtl::Module::Fp32Fu;
+  cfg.n_faults = 32;
+  cfg.seed = 7;
+  cfg.jobs = 1;
+  cfg.keep_all_records = true;
+  return rtlfi::run_campaign(w, cfg);
+}
+
+swfi::Result mxm_campaign() {
+  const auto app = vocab::make_app("mxm");
+  swfi::Config cfg;
+  cfg.model = swfi::FaultModel::SingleBitFlip;
+  cfg.n_injections = 48;
+  cfg.seed = 11;
+  cfg.jobs = 1;
+  return swfi::run_sw_campaign(app.app, cfg);
 }
 
 /// A coordinator listening on a unix socket in the test cwd plus `n`
@@ -284,6 +309,101 @@ TEST(Protocol, PartialDecodersRejectGarbage) {
       &error));
   EXPECT_FALSE(decode_shard_request("job=\n"));
   EXPECT_FALSE(decode_hello("version=x\n"));
+  // Values that do not fit their field are rejected, not wrapped.
+  EXPECT_FALSE(decode_hello("version=4294967297\nname=w\npid=1\n"));
+  EXPECT_FALSE(decode_shard_result(
+      "job=1\nshard=4294967296\n--- payload ---\n"));
+  const auto encoded = encode_rtl_partial(records_campaign());
+  const auto r_at = encoded.find("\nr=") + 3;  // "r=<module> <bit> ..."
+  const auto bit_at = encoded.find(' ', r_at) + 1;
+  const auto bit_end = encoded.find(' ', bit_at);
+  std::string wide_bit = encoded;
+  wide_bit.replace(bit_at, bit_end - bit_at, "4294967301");
+  EXPECT_FALSE(decode_rtl_partial(wide_bit, &error));
+  // Only the encoder's spelling decodes: no leading zeros, no runs of
+  // spaces, no flag other than 0 or 1.
+  std::string leading_zero = encoded;
+  leading_zero.replace(bit_at, 0, "0");
+  EXPECT_FALSE(decode_rtl_partial(leading_zero, &error));
+  std::string two_spaces = encoded;
+  two_spaces.replace(bit_at, 0, " ");
+  EXPECT_FALSE(decode_rtl_partial(two_spaces, &error));
+  EXPECT_FALSE(decode_shard_request(
+      "job=1\nshard=0\nn_shards=1\noffset=0\ncount=1\nfinal=2\n"
+      "--- spec ---\n"));
+}
+
+TEST(Protocol, ResultCodecMutantsAreRejectedOrReencodeExactly) {
+  // Seeded mutants of real partials: byte flips, digit or space insertions,
+  // line deletions and duplications, truncations. Each one must be rejected or
+  // decode to a result that re-encodes to the mutant byte for byte — the
+  // decoders accept exactly the encoder's spelling and nothing else.
+  const auto check = [](const std::string& original, auto decode,
+                        auto encode) {
+    std::uint64_t state = 0x9e3779b97f4a7c15ull;
+    const auto next = [&state](std::uint64_t n) {  // splitmix64, mod n
+      std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
+      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+      z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+      return (z ^ (z >> 31)) % n;
+    };
+    const auto line_bounds = [&](const std::string& m) {
+      std::size_t start = next(m.size());
+      start = start == 0 ? 0 : m.rfind('\n', start - 1) + 1;
+      return std::make_pair(start, m.find('\n', start) + 1 - start);
+    };
+    const std::string alphabet = "0123456789 \n=-rfwda";
+    std::size_t rejected = 0, accepted = 0;
+    for (int i = 0; i < 2000; ++i) {
+      std::string m = original;
+      switch (next(5)) {
+        case 0:  // byte flip: one bit, or a byte the grammar uses
+          if (next(2) == 0)
+            m[next(m.size())] ^= static_cast<char>(1u << next(8));
+          else
+            m[next(m.size())] = alphabet[next(alphabet.size())];
+          break;
+        case 1:  // digit or space insertion
+          m.insert(next(m.size() + 1), 1, "0123456789 "[next(11)]);
+          break;
+        case 2: {  // line deletion
+          const auto [at, len] = line_bounds(m);
+          m.erase(at, len);
+          break;
+        }
+        case 3: {  // line duplication
+          const auto [at, len] = line_bounds(m);
+          m.insert(at, m.substr(at, len));
+          break;
+        }
+        default:  // truncation
+          m.resize(next(m.size()));
+      }
+      if (m == original) continue;
+      std::string error;
+      if (const auto back = decode(m, &error)) {
+        ++accepted;
+        ASSERT_EQ(encode(*back), m) << "mutant " << i << " decoded but does "
+                                    << "not re-encode to its own bytes";
+      } else {
+        ++rejected;
+      }
+    }
+    // Both branches ran: some mutants (a digit changed inside a counter)
+    // are valid partials of another result.
+    EXPECT_GT(accepted, 0u);
+    EXPECT_GT(rejected, 0u);
+  };
+  check(encode_rtl_partial(records_campaign()),
+        [](std::string_view m, std::string* e) {
+          return decode_rtl_partial(m, e);
+        },
+        [](const rtlfi::CampaignResult& r) { return encode_rtl_partial(r); });
+  check(encode_sw_partial(mxm_campaign()),
+        [](std::string_view m, std::string* e) {
+          return decode_sw_partial(m, e);
+        },
+        [](const swfi::Result& r) { return encode_sw_partial(r); });
 }
 
 TEST(Protocol, SpecWorkersFieldRoundTrips) {
@@ -501,6 +621,63 @@ TEST(ServerFabric, SubmitFansOutAndMatchesOffline) {
   w1.stop();
   w2.stop();
   server.shutdown(/*drain=*/true);
+}
+
+TEST(ServerFabric, StatsAndExpositionCountTheSameCacheLookups) {
+  // Cache lookups count once, in the registry of the cache's owner: the
+  // daemon's Stats frame and its exposition read the pool's counters, and
+  // an in-process worker's lookups count in the worker's own registry. Obs
+  // is off: the counters count regardless.
+  obs::set_enabled(false);
+  serve::ServerConfig cfg;
+  cfg.socket_path = "serve_fabric_cache.sock";
+  cfg.workers = 1;
+  cfg.fabric_listen = "unix:serve_fabric_cache_fab.sock";
+  serve::Server server(cfg);
+  server.start();
+  WorkerConfig wcfg;
+  wcfg.coordinator = *parse_endpoint(cfg.fabric_listen);
+  wcfg.heartbeat_ms = 50;
+  Worker worker(wcfg);
+  worker.start();
+  ASSERT_TRUE(server.coordinator()->wait_for_workers(1, 10'000));
+
+  auto spec = rtl_spec();
+  spec.faults = 32;
+  spec.workers = 1;  // fanned out: every lookup happens on the worker
+  EXPECT_TRUE(serve::submit_campaign(cfg.socket_path, spec).ok);
+  spec.workers = 0;  // local twice: one miss, then one hit on the pool
+  EXPECT_TRUE(serve::submit_campaign(cfg.socket_path, spec).ok);
+  EXPECT_TRUE(serve::submit_campaign(cfg.socket_path, spec).ok);
+
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.golden_cache.misses, 1u);
+  EXPECT_EQ(stats.golden_cache.hits, 1u);
+  std::string error;
+  const auto text = serve::query_metrics(cfg.socket_path, &error);
+  EXPECT_TRUE(text) << error;
+  const auto count = [&](const char* name, const char* cache) {
+    const std::string key = std::string(name) + "{cache=\"" + cache + "\"} ";
+    const auto at = text->find(key);
+    EXPECT_NE(at, std::string::npos) << key;
+    EXPECT_EQ(text->find(key, at + 1), std::string::npos) << key << " appears twice";
+    return at == std::string::npos
+               ? ~std::size_t{0}
+               : std::stoull(text->substr(at + key.size()));
+  };
+  if (text) {
+    EXPECT_EQ(count("gpufi_serve_cache_hits_total", "golden"),
+              stats.golden_cache.hits);
+    EXPECT_EQ(count("gpufi_serve_cache_misses_total", "golden"),
+              stats.golden_cache.misses);
+    EXPECT_EQ(count("gpufi_serve_cache_hits_total", "db"),
+              stats.db_cache.hits);
+    EXPECT_EQ(count("gpufi_serve_cache_misses_total", "db"),
+              stats.db_cache.misses);
+  }
+  worker.stop();
+  server.shutdown(/*drain=*/true);
+  obs::set_enabled(true);
 }
 
 TEST(ServerFabric, WorkersWithoutFabricIsRejected) {

@@ -11,16 +11,20 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "fabric/coordinator.hpp"
+#include "fabric/protocol.hpp"
 #include "obs/metrics.hpp"
+#include "rtlfi/microbench.hpp"
 #include "serve/cache.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
+#include "syndrome/syndrome.hpp"
 #include "vocab/vocab.hpp"
 
 using namespace gpufi;
@@ -254,6 +258,10 @@ TEST(Protocol, SpecDecodeIsStrict) {
   EXPECT_FALSE(decode_spec("kind=rtl\njobs=4294967296\n", &error)
                    .has_value());
   EXPECT_FALSE(decode_spec("kind=rtl\npriority=+1\n", &error).has_value());
+  // Only canonical spellings: no leading zero, no "-0".
+  EXPECT_FALSE(decode_spec("kind=rtl\nfaults=05\n", &error).has_value());
+  EXPECT_FALSE(decode_spec("kind=rtl\npriority=-0\n", &error).has_value());
+  EXPECT_EQ(decode_spec("kind=rtl\nfaults=0\n", &error)->faults, 0u);
   // Every line ends in a newline.
   EXPECT_FALSE(decode_spec("kind=rtl\nfaults=5", &error).has_value());
   EXPECT_EQ(decode_spec("kind=rtl\npriority=-3\n", &error)->priority, -3);
@@ -336,7 +344,8 @@ TEST(Protocol, StatsDecodeIsStrict) {
 // ----------------------------------------------------------------- cache
 
 TEST(SharedCache, ComputesOnceAndSharesAcrossRacingThreads) {
-  SharedCache<int> cache;
+  obs::Registry metrics;
+  SharedCache<int> cache(metrics, "test");
   std::atomic<int> computes{0};
   std::vector<std::thread> threads;
   std::vector<std::shared_ptr<const int>> results(6);
@@ -361,7 +370,8 @@ TEST(SharedCache, ComputesOnceAndSharesAcrossRacingThreads) {
 }
 
 TEST(SharedCache, DistinctKeysComputeSeparately) {
-  SharedCache<std::string> cache;
+  obs::Registry metrics;
+  SharedCache<std::string> cache(metrics, "test");
   const auto a = cache.get_or_compute("a", [] { return std::string("A"); });
   const auto b = cache.get_or_compute("b", [] { return std::string("B"); });
   EXPECT_EQ(*a, "A");
@@ -371,7 +381,8 @@ TEST(SharedCache, DistinctKeysComputeSeparately) {
 }
 
 TEST(SharedCache, FailedComputeIsNotPoisoned) {
-  SharedCache<int> cache;
+  obs::Registry metrics;
+  SharedCache<int> cache(metrics, "test");
   EXPECT_THROW(cache.get_or_compute(
                    "k", []() -> int { throw std::runtime_error("boom"); }),
                std::runtime_error);
@@ -401,16 +412,52 @@ TEST(Serve, ServedResultIsByteIdenticalToOffline) {
 }
 
 TEST(Serve, ResultCarriesVersionedRecordsAndAttribution) {
-  // The v2 result serialization: a record_version marker, one site= line
-  // per record (the fault-site context), and the attribution table ahead
-  // of the syndrome-db block — all inside the byte-identity contract.
+  // The rtl Result payload is the one lossless result codec under a short
+  // header: kind= and fault_model=, then fabric::encode_rtl_partial (every
+  // record with its fault site, temporal fields and diffs, then the
+  // attribution table), then the distilled syndrome-database bytes.
   const auto spec = small_rtl_spec();
-  const std::string offline = run_spec_offline(spec);
-  EXPECT_NE(offline.find("record_version=2\n"), std::string::npos);
-  EXPECT_NE(offline.find("attr_sites="), std::string::npos);
-  EXPECT_NE(offline.find("attr="), std::string::npos);
-  // The attribution lines precede the database block.
-  EXPECT_LT(offline.find("attr_sites="), offline.find("--- syndrome-db ---"));
+  const auto w = rtlfi::make_microbenchmark(*parse_opcode(spec.op),
+                                            *parse_range(spec.range),
+                                            spec.seed);
+  const auto cc = campaign_config_for_spec(spec, *parse_module(spec.module),
+                                           {}, nullptr);
+  const auto r = rtlfi::run_campaign(w, cc);
+  ASSERT_FALSE(r.attribution.empty());
+  syndrome::Database db;
+  db.add_campaign(syndrome::Key{*parse_module(spec.module),
+                                *parse_opcode(spec.op),
+                                *parse_range(spec.range),
+                                *parse_fault_model(spec.fault_model)},
+                  r);
+  db.finalize();
+  std::ostringstream db_bytes;
+  db.save(db_bytes);
+  EXPECT_EQ(run_spec_offline(spec),
+            "kind=rtl\nfault_model=transient\n" +
+                fabric::encode_rtl_partial(r) + "--- syndrome-db ---\n" +
+                db_bytes.str());
+}
+
+TEST(Serve, SwResultsCarryTheResultCodec) {
+  // sw: kind=sw, then fabric::encode_sw_partial. Planned sw: kind=sw-planned,
+  // the same codec of the campaign counters, then the planner's keys.
+  const auto app = vocab::make_app("mxm");
+  swfi::Config cfg;
+  cfg.model = swfi::FaultModel::SingleBitFlip;
+  cfg.n_injections = 24;
+  cfg.seed = 4;
+  cfg.jobs = 1;
+  const auto r = swfi::run_sw_campaign(app.app, cfg);
+  EXPECT_EQ(serialize_sw_result(r), "kind=sw\n" + fabric::encode_sw_partial(r));
+
+  const auto pr = swfi::run_planned_campaign(
+      app.app, cfg, *vocab::parse_plan("target_err=0.25,min_trials=8"));
+  const std::string head =
+      "kind=sw-planned\n" + fabric::encode_sw_partial(pr.result);
+  const auto planned = serialize_planned_sw_result(pr);
+  EXPECT_EQ(planned.substr(0, head.size()), head);
+  EXPECT_EQ(planned.substr(head.size(), 11), "adaptive=1\n");
 }
 
 TEST(Serve, ServedReportIsByteIdenticalToOffline) {
