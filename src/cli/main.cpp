@@ -24,13 +24,14 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/gpufi.hpp"
@@ -134,13 +135,25 @@ int usage_error(const std::string& what) {
   return usage();
 }
 
-bool parse_u64_strict(const std::string& s, std::uint64_t& out) {
-  if (s.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (errno != 0 || end != s.c_str() + s.size()) return false;
-  out = v;
+/// Parses an option's number with the protocol's strict parsers
+/// (serve::parse_u64/parse_i64: no sign on unsigned fields, no '+', no
+/// space, no leading zero), narrowed to the field's type with a range
+/// check. A malformed or out-of-range value is a usage error.
+template <class T>
+bool parse_number(const std::string& key, const std::string& val, T& out) {
+  std::optional<T> v;
+  if constexpr (std::is_signed_v<T>) {
+    if (const auto n = serve::parse_i64(val); n && std::in_range<T>(*n))
+      v = static_cast<T>(*n);
+  } else {
+    if (const auto n = serve::parse_u64(val); n && std::in_range<T>(*n))
+      v = static_cast<T>(*n);
+  }
+  if (!v) {
+    usage_error("option " + key + " expects a number, got '" + val + "'");
+    return false;
+  }
+  out = *v;
   return true;
 }
 
@@ -166,16 +179,6 @@ void write_file_atomic(const std::string& path, const std::string& content) {
     if (!f) throw std::runtime_error("failed writing " + tmp);
   }
   std::filesystem::rename(tmp, path);
-}
-
-bool parse_int_strict(const std::string& s, int& out) {
-  if (s.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const long v = std::strtol(s.c_str(), &end, 10);
-  if (errno != 0 || end != s.c_str() + s.size()) return false;
-  out = static_cast<int>(v);
-  return true;
 }
 
 /// Pulls "--name value" pairs out of argv. Strict: an unknown flag, a flag
@@ -246,27 +249,19 @@ struct Options {
       }
       const std::string val = argv[i + 1];
       i += 2;
-      std::uint64_t n = 0;
-      const auto number = [&]() -> bool {
-        if (parse_u64_strict(val, n)) return true;
-        usage_error("option " + key + " expects a number, got '" + val + "'");
-        return false;
+      const auto number = [&](auto& field) {
+        return parse_number(key, val, field);
       };
       if (key == "--faults") {
-        if (!number()) return std::nullopt;
-        o.faults = n;
+        if (!number(o.faults)) return std::nullopt;
       } else if (key == "--injections") {
-        if (!number()) return std::nullopt;
-        o.injections = n;
+        if (!number(o.injections)) return std::nullopt;
       } else if (key == "--seed") {
-        if (!number()) return std::nullopt;
-        o.seed = n;
+        if (!number(o.seed)) return std::nullopt;
       } else if (key == "--jobs") {
-        if (!number()) return std::nullopt;
-        o.jobs = static_cast<unsigned>(n);
+        if (!number(o.jobs)) return std::nullopt;
       } else if (key == "--workers") {
-        if (!number()) return std::nullopt;
-        o.workers = static_cast<unsigned>(n);
+        if (!number(o.workers)) return std::nullopt;
         o.workers_set = true;
       } else if (key == "--fabric") {
         if (!fabric::parse_endpoint(val)) {
@@ -285,25 +280,18 @@ struct Options {
       } else if (key == "--name") {
         o.name = val;
       } else if (key == "--heartbeat") {
-        if (!number()) return std::nullopt;
-        if (n == 0) {
+        if (!number(o.heartbeat_ms)) return std::nullopt;
+        if (o.heartbeat_ms == 0) {
           usage_error("option --heartbeat expects a positive millisecond "
                       "count");
           return std::nullopt;
         }
-        o.heartbeat_ms = n;
       } else if (key == "--queue") {
-        if (!number()) return std::nullopt;
-        o.queue = n;
+        if (!number(o.queue)) return std::nullopt;
       } else if (key == "--deadline") {
-        if (!number()) return std::nullopt;
-        o.deadline_ms = n;
+        if (!number(o.deadline_ms)) return std::nullopt;
       } else if (key == "--priority") {
-        if (!parse_int_strict(val, o.priority)) {
-          usage_error("option --priority expects an integer, got '" + val +
-                      "'");
-          return std::nullopt;
-        }
+        if (!number(o.priority)) return std::nullopt;
       } else if (key == "--db") {
         o.db_path = val;
       } else if (key == "--models") {
@@ -356,11 +344,9 @@ struct Options {
         }
         o.fault_model = val;
       } else if (key == "--fault-duration") {
-        if (!number()) return std::nullopt;
-        o.fault_duration = n;
+        if (!number(o.fault_duration)) return std::nullopt;
       } else if (key == "--burst-period") {
-        if (!number()) return std::nullopt;
-        o.burst_period = n;
+        if (!number(o.burst_period)) return std::nullopt;
       } else if (key == "--plan") {
         std::string err;
         if (!vocab::parse_plan(val, &err)) {
@@ -391,10 +377,6 @@ struct Options {
     }
     return o;
   }
-
-  rtlfi::Acceleration acceleration() const {
-    return *serve::parse_acceleration(accel);
-  }
 };
 
 /// Installs the process-wide JSONL trace sink when --trace-out was given.
@@ -404,10 +386,10 @@ void install_trace_sink(const Options& o) {
     obs::set_trace_sink(obs::TraceSink::open(o.trace_out));
 }
 
-/// The one Options-to-spec mapping of the served commands (submit and the
-/// served report): copies every campaign flag into `spec`. Served default:
-/// jobs=0 means one core, because the daemon's executors are the wide axis.
-void fill_spec(const Options& o, serve::CampaignSpec& spec) {
+/// The one Options-to-spec mapping: copies every campaign flag into `spec`.
+/// Served default (`served`): jobs=0 means one core, because the daemon's
+/// executors are the wide axis; offline it means all hardware threads.
+void fill_spec(const Options& o, serve::CampaignSpec& spec, bool served) {
   spec.range = o.range;
   spec.tile = o.tile;
   spec.fault_model = o.fault_model;
@@ -416,13 +398,77 @@ void fill_spec(const Options& o, serve::CampaignSpec& spec) {
   spec.faults = o.faults;
   spec.injections = o.injections;
   spec.seed = o.seed;
-  spec.jobs = o.jobs == 0 ? 1 : o.jobs;
+  spec.jobs = served && o.jobs == 0 ? 1 : o.jobs;
   spec.accel = o.accel;
   spec.db_path = o.db_path;
   spec.models_dir = o.models_dir;
   spec.priority = o.priority;
   spec.deadline_ms = o.deadline_ms;
   spec.progress_interval = o.progress_interval;
+  spec.plan = o.plan;
+}
+
+/// A parsed campaign command: the spec it runs and its options.
+struct CampaignCommand {
+  serve::CampaignSpec spec;
+  Options o;
+  bool all_modules = false;  ///< report <op> all: bombard all six modules
+};
+
+/// The one argument parser of the campaign commands, offline (`gpufi rtl
+/// FFMA fp32 ...`) and served (`gpufi submit rtl FFMA fp32 ...`): argv[at]
+/// names the kind and its positionals fill the spec, then come the options,
+/// fill_spec and validate_spec. `report <op> [<module>|all]` is an rtl spec,
+/// served only with --socket. nullopt: a usage error, already printed.
+std::optional<CampaignCommand> parse_campaign(int argc, char** argv, int at,
+                                              bool submit) {
+  CampaignCommand c;
+  auto& spec = c.spec;
+  const std::string kind = argv[at];
+  const bool report = !submit && kind == "report";
+  const auto k =
+      report ? serve::CampaignKind::Rtl : serve::parse_campaign_kind(kind);
+  if (!k) {
+    usage_error("unknown campaign kind '" + kind + "'");
+    return std::nullopt;
+  }
+  spec.kind = *k;
+  // Positionals: tmxm takes one, report one plus an optional module.
+  int n = report || spec.kind == serve::CampaignKind::Tmxm ? 1 : 2;
+  if (report && at + 2 < argc && argv[at + 2][0] != '-') n = 2;
+  if (at + n >= argc) {
+    usage();
+    return std::nullopt;
+  }
+  const std::string a = argv[at + 1];
+  const std::string b = n == 2 ? argv[at + 2] : "all";
+  switch (spec.kind) {
+    case serve::CampaignKind::Rtl:
+      spec.op = a;
+      if (report && b == "all")
+        c.all_modules = true;
+      else
+        spec.module = b;
+      break;
+    case serve::CampaignKind::Tmxm: spec.module = a; break;
+    case serve::CampaignKind::Sw:
+      spec.app = a;
+      spec.model = b;
+      break;
+    case serve::CampaignKind::Cnn:
+      spec.net = a;
+      spec.model = b;
+      break;
+  }
+  auto o = Options::parse(argc, argv, at + 1 + n);
+  if (!o) return std::nullopt;
+  c.o = std::move(*o);
+  fill_spec(c.o, spec, submit || (report && c.o.socket_set));
+  if (const auto err = serve::validate_spec(spec)) {
+    usage_error(*err);
+    return std::nullopt;
+  }
+  return c;
 }
 
 /// Telemetry printer for long campaigns: carriage-return progress on stderr
@@ -462,83 +508,6 @@ int cmd_modules() {
   return 0;
 }
 
-int cmd_rtl(int argc, char** argv) {
-  if (argc < 4) return usage();
-  const auto op = serve::parse_opcode(argv[2]);
-  if (!op) return usage_error(std::string("unknown instruction '") + argv[2] +
-                              "'");
-  const auto module = serve::parse_module(argv[3]);
-  if (!module)
-    return usage_error(std::string("unknown module '") + argv[3] + "'");
-  const auto o = Options::parse(argc, argv, 4);
-  if (!o) return 2;
-  if (o->fault_models.size() != 1)
-    return usage_error("gpufi rtl expects a single --fault-model");
-  install_trace_sink(*o);
-  const auto range = *serve::parse_range(o->range);
-  const auto w = rtlfi::make_microbenchmark(*op, range, o->seed);
-  rtlfi::CampaignConfig cfg;
-  cfg.module = *module;
-  cfg.n_faults = o->faults;
-  cfg.seed = o->seed;
-  cfg.jobs = o->jobs;
-  cfg.acceleration = o->acceleration();
-  cfg.fault_model = o->fault_models[0];
-  cfg.fault_duration = o->fault_duration;
-  cfg.burst_period = o->burst_period;
-  cfg.progress = stderr_progress("injections");
-  cfg.progress_interval = o->progress_interval;
-  std::printf("== RTL campaign: %s on %s (%s inputs, %s faults), %zu faults\n",
-              std::string(isa::mnemonic(*op)).c_str(),
-              std::string(rtl::module_name(*module)).c_str(),
-              std::string(rtlfi::range_name(range)).c_str(),
-              std::string(rtl::fault_model_name(cfg.fault_model)).c_str(),
-              o->faults);
-  print_campaign(rtlfi::run_campaign(w, cfg));
-  return 0;
-}
-
-int cmd_tmxm(int argc, char** argv) {
-  if (argc < 3) return usage();
-  const auto site = serve::parse_module(argv[2]);
-  if (!site)
-    return usage_error(std::string("unknown site '") + argv[2] + "'");
-  const auto o = Options::parse(argc, argv, 3);
-  if (!o) return 2;
-  if (o->fault_models.size() != 1)
-    return usage_error("gpufi tmxm expects a single --fault-model");
-  install_trace_sink(*o);
-  const auto kind = *serve::parse_tile(o->tile);
-  rtlfi::CampaignConfig cfg;
-  cfg.module = *site;
-  cfg.n_faults = o->faults;
-  cfg.seed = o->seed;
-  cfg.jobs = o->jobs;
-  cfg.acceleration = o->acceleration();
-  cfg.fault_model = o->fault_models[0];
-  cfg.fault_duration = o->fault_duration;
-  cfg.burst_period = o->burst_period;
-  cfg.progress = stderr_progress("injections");
-  cfg.progress_interval = o->progress_interval;
-  std::printf("== t-MxM campaign: %s site, %s tile, %zu faults\n",
-              std::string(rtl::module_name(*site)).c_str(),
-              std::string(rtlfi::tile_name(kind)).c_str(), o->faults);
-  const auto r = rtlfi::run_campaign(rtlfi::make_tmxm(kind, o->seed), cfg);
-  print_campaign(r);
-  syndrome::Database db;
-  db.add_tmxm_campaign(*site, 8, 8, r);
-  const auto& stats = db.tmxm(*site);
-  std::printf("patterns:");
-  for (std::size_t p = 0; p < syndrome::kNumPatterns; ++p)
-    std::printf(" %s=%zu",
-                std::string(syndrome::pattern_name(
-                                static_cast<syndrome::Pattern>(p)))
-                    .c_str(),
-                stats.counts[p]);
-  std::printf("\n");
-  return 0;
-}
-
 int cmd_build_db(int argc, char** argv) {
   if (argc < 3) return usage();
   const auto o = Options::parse(argc, argv, 3);
@@ -547,7 +516,7 @@ int cmd_build_db(int argc, char** argv) {
   core::RtlCharacterizationConfig cfg;
   cfg.faults_per_campaign = o->faults;
   cfg.jobs = o->jobs;
-  cfg.acceleration = o->acceleration();
+  cfg.acceleration = *serve::parse_acceleration(o->accel);
   cfg.fault_models = o->fault_models;
   cfg.progress = stderr_progress("campaigns");
   cfg.progress_interval = o->progress_interval;
@@ -560,154 +529,127 @@ int cmd_build_db(int argc, char** argv) {
   return 0;
 }
 
-int cmd_sw(int argc, char** argv) {
-  if (argc < 4) return usage();
-  const std::string app_name = argv[2];
-  const std::string model_name = argv[3];
-  const auto o = Options::parse(argc, argv, 4);
-  if (!o) return 2;
-  if (!vocab::is_known_app(app_name))
-    return usage_error("unknown app '" + app_name + "'");
-  const auto model = vocab::parse_sw_model(model_name);
-  if (!model) return usage_error("unknown fault model '" + model_name + "'");
-  install_trace_sink(*o);
-  const auto app = vocab::make_app(app_name);
-  swfi::Config cfg;
-  cfg.model = *model;
-  cfg.n_injections = o->injections;
-  cfg.seed = o->seed;
-  cfg.jobs = o->jobs;
-  cfg.progress = stderr_progress("injections");
-  cfg.progress_interval = o->progress_interval;
-  std::optional<syndrome::Database> db;
-  const bool needs_db = cfg.model == swfi::FaultModel::RelativeError ||
-                        cfg.model == swfi::FaultModel::WarpRelativeError ||
-                        cfg.model == swfi::FaultModel::StickyRelativeError;
-  if (needs_db) {
-    core::RtlCharacterizationConfig dbcfg;
-    dbcfg.jobs = o->jobs;
-    dbcfg.progress = stderr_progress("campaigns");
-    db = core::ensure_syndrome_database(o->db_path, dbcfg);
-    cfg.db = &*db;
-    // Sticky replay images a permanently stuck datapath FF: sample the
-    // stuck-at-1 syndrome class (transient fallback inside the database).
-    if (cfg.model == swfi::FaultModel::StickyRelativeError)
-      cfg.syndrome_model = rtl::FaultModel::StuckAt1;
+/// Offline `gpufi rtl|tmxm|sw|cnn`: the daemon's spec runners on this
+/// process with fresh caches, as run_spec_offline runs them, printed for
+/// humans.
+int cmd_campaign(int argc, char** argv) {
+  const auto c = parse_campaign(argc, argv, 1, /*submit=*/false);
+  if (!c) return 2;
+  install_trace_sink(c->o);
+  const auto& spec = c->spec;
+  obs::Registry metrics;  // this run's cache counts; nothing reads them
+  serve::Caches caches(metrics);
+  const auto progress = stderr_progress("injections");
+  const auto name = [](std::string_view s) { return std::string(s); };
+  switch (spec.kind) {
+    case serve::CampaignKind::Rtl: {
+      std::printf(
+          "== RTL campaign: %s on %s (%s inputs, %s faults), %zu faults\n",
+          spec.op.c_str(),
+          name(rtl::module_name(*serve::parse_module(spec.module))).c_str(),
+          spec.range.c_str(),
+          name(rtl::fault_model_name(*serve::parse_fault_model(
+                   spec.fault_model)))
+              .c_str(),
+          spec.faults);
+      print_campaign(serve::run_rtl_spec(spec, caches, progress, nullptr));
+      return 0;
+    }
+    case serve::CampaignKind::Tmxm: {
+      const auto site = *serve::parse_module(spec.module);
+      std::printf("== t-MxM campaign: %s site, %s tile, %zu faults\n",
+                  name(rtl::module_name(site)).c_str(),
+                  name(rtlfi::tile_name(*serve::parse_tile(spec.tile))).c_str(),
+                  spec.faults);
+      const auto r = serve::run_rtl_spec(spec, caches, progress, nullptr);
+      print_campaign(r);
+      syndrome::Database db;
+      db.add_tmxm_campaign(site, 8, 8, r);
+      const auto& stats = db.tmxm(site);
+      std::printf("patterns:");
+      for (std::size_t p = 0; p < syndrome::kNumPatterns; ++p)
+        std::printf(" %s=%zu",
+                    name(syndrome::pattern_name(
+                             static_cast<syndrome::Pattern>(p)))
+                        .c_str(),
+                    stats.counts[p]);
+      std::printf("\n");
+      return 0;
+    }
+    case serve::CampaignKind::Sw: {
+      const std::string app = vocab::make_app(spec.app).app.name;
+      const std::string model =
+          name(fault_model_name(*serve::parse_sw_model(spec.model)));
+      if (!spec.plan.empty()) {
+        std::printf("== planned software campaign: %s under %s, budget %zu "
+                    "(target_err %.3g)\n",
+                    app.c_str(), model.c_str(), spec.injections,
+                    vocab::parse_plan(spec.plan)->target_err);
+        const auto pr =
+            serve::run_planned_sw_spec(spec, caches, progress, nullptr);
+        std::printf("candidates %llu\n",
+                    static_cast<unsigned long long>(
+                        pr.result.candidate_instructions));
+        for (const auto& s : pr.strata)
+          std::printf("  %-5s %s  cand %-8llu trials %zu/%zu  sdc %llu  (%s, "
+                      "hw %.3f)\n",
+                      name(isa::mnemonic(s.op)).c_str(),
+                      name(rtlfi::range_name(s.range)).c_str(),
+                      static_cast<unsigned long long>(s.candidates), s.trials,
+                      s.budget, static_cast<unsigned long long>(s.sdc),
+                      name(swfi::stratum_stop_name(s.stop)).c_str(),
+                      s.sdc_half_width);
+        std::printf("PVF        %.3f +- %.3f (stratified)\nSDC %zu / masked "
+                    "%zu / DUE %zu\ntrials     %zu of %zu planned (%zu "
+                    "saved)\n",
+                    pr.pvf, pr.pvf_half_width, pr.result.sdc, pr.result.masked,
+                    pr.result.due, pr.result.injections, pr.planned_trials,
+                    pr.trials_saved);
+        return 0;
+      }
+      std::printf("== software campaign: %s under %s, %zu injections\n",
+                  app.c_str(), model.c_str(), spec.injections);
+      const auto r = serve::run_sw_spec(spec, caches, progress, nullptr);
+      std::printf("candidates %llu\nPVF        %.3f +- %.3f\nSDC %zu / "
+                  "masked %zu / DUE %zu\n",
+                  static_cast<unsigned long long>(r.candidate_instructions),
+                  r.pvf(), r.margin_of_error(), r.sdc, r.masked, r.due);
+      return 0;
+    }
+    case serve::CampaignKind::Cnn: {
+      const auto r = serve::run_cnn_spec(spec, caches, nullptr);
+      std::printf("== %s under %s: %zu injections\n",
+                  spec.net == "lenet" ? "LeNet" : "YoloLite",
+                  name(cnn_fault_model_name(*serve::parse_cnn_model(
+                           spec.model)))
+                      .c_str(),
+                  r.injections);
+      std::printf("PVF (SDC)  %.3f\ncritical   %.3f (%zu of %zu SDCs change "
+                  "the decision)\nmasked %zu / DUE %zu\n",
+                  r.pvf(), r.critical_rate(), r.critical, r.sdc, r.masked,
+                  r.due);
+      return 0;
+    }
   }
-  if (!o->plan.empty()) {
-    const auto plan = *vocab::parse_plan(o->plan);  // validated at parse time
-    std::printf("== planned software campaign: %s under %s, budget %zu "
-                "(target_err %.3g)\n",
-                app.app.name.c_str(),
-                std::string(fault_model_name(cfg.model)).c_str(),
-                o->injections, plan.target_err);
-    const auto pr = swfi::run_planned_campaign(app.app, cfg, plan);
-    std::printf("candidates %llu\n",
-                static_cast<unsigned long long>(
-                    pr.result.candidate_instructions));
-    for (const auto& s : pr.strata)
-      std::printf("  %-5s %s  cand %-8llu trials %zu/%zu  sdc %llu  (%s, "
-                  "hw %.3f)\n",
-                  std::string(isa::mnemonic(s.op)).c_str(),
-                  std::string(rtlfi::range_name(s.range)).c_str(),
-                  static_cast<unsigned long long>(s.candidates), s.trials,
-                  s.budget, static_cast<unsigned long long>(s.sdc),
-                  std::string(swfi::stratum_stop_name(s.stop)).c_str(),
-                  s.sdc_half_width);
-    std::printf("PVF        %.3f +- %.3f (stratified)\nSDC %zu / masked %zu "
-                "/ DUE %zu\ntrials     %zu of %zu planned (%zu saved)\n",
-                pr.pvf, pr.pvf_half_width, pr.result.sdc, pr.result.masked,
-                pr.result.due, pr.result.injections, pr.planned_trials,
-                pr.trials_saved);
-    return 0;
-  }
-  std::printf("== software campaign: %s under %s, %zu injections\n",
-              app.app.name.c_str(),
-              std::string(fault_model_name(cfg.model)).c_str(),
-              o->injections);
-  const auto r = swfi::run_sw_campaign(app.app, cfg);
-  std::printf("candidates %llu\nPVF        %.3f +- %.3f\nSDC %zu / masked "
-              "%zu / DUE %zu\n",
-              static_cast<unsigned long long>(r.candidate_instructions),
-              r.pvf(), r.margin_of_error(), r.sdc, r.masked, r.due);
-  return 0;
-}
-
-int cmd_cnn(int argc, char** argv) {
-  if (argc < 4) return usage();
-  const std::string net_name = argv[2];
-  const std::string model_name = argv[3];
-  const auto o = Options::parse(argc, argv, 4);
-  if (!o) return 2;
-  const bool lenet = net_name == "lenet";
-  if (!lenet && net_name != "yolo")
-    return usage_error("unknown network '" + net_name + "'");
-  const auto model = serve::parse_cnn_model(model_name);
-  if (!model) return usage_error("unknown fault model '" + model_name + "'");
-  install_trace_sink(*o);
-  core::RtlCharacterizationConfig dbcfg;
-  dbcfg.jobs = o->jobs;
-  dbcfg.progress = stderr_progress("campaigns");
-  dbcfg.progress_interval = o->progress_interval;
-  const auto db = core::ensure_syndrome_database(o->db_path, dbcfg);
-  const auto models = core::ensure_models(o->models_dir);
-  const auto r = nn::run_cnn_campaign(
-      lenet ? models.lenet : models.yololite,
-      lenet ? nn::CnnTask::Classification : nn::CnnTask::Detection, *model,
-      &db, o->injections, o->seed);
-  std::printf("== %s under %s: %zu injections\n",
-              lenet ? "LeNet" : "YoloLite",
-              std::string(cnn_fault_model_name(*model)).c_str(),
-              r.injections);
-  std::printf("PVF (SDC)  %.3f\ncritical   %.3f (%zu of %zu SDCs change "
-              "the decision)\nmasked %zu / DUE %zu\n",
-              r.pvf(), r.critical_rate(), r.critical, r.sdc, r.masked,
-              r.due);
-  return 0;
+  return 1;
 }
 
 int cmd_report(int argc, char** argv) {
-  if (argc < 3) return usage();
-  const auto op = serve::parse_opcode(argv[2]);
-  if (!op)
-    return usage_error(std::string("unknown instruction '") + argv[2] + "'");
-  // Optional positional module; "all" (the default) bombards all six.
-  std::string module_arg = "all";
-  int first = 3;
-  if (argc > 3 && argv[3][0] != '-') {
-    module_arg = argv[3];
-    first = 4;
-  }
-  std::optional<rtl::Module> module;
-  if (module_arg != "all") {
-    const auto m = serve::parse_module(module_arg);
-    if (!m)
-      return usage_error("unknown module '" + module_arg +
-                         "' (expected fp32|int|sfu|sfuctl|sched|pipe|all)");
-    module = *m;
-  }
-  const auto o = Options::parse(argc, argv, first);
-  if (!o) return 2;
-  if (o->fault_models.size() != 1)
-    return usage_error("gpufi report expects a single --fault-model");
-  install_trace_sink(*o);
+  const auto c = parse_campaign(argc, argv, 1, /*submit=*/false);
+  if (!c) return 2;
+  const auto& o = c->o;
+  install_trace_sink(o);
 
   std::string payload;
-  if (o->socket_set) {
+  if (o.socket_set) {
     // Served path: one module per request (the spec carries exactly one);
     // the daemon always answers with the JSON rendering.
-    if (!module)
+    if (c->all_modules)
       return usage_error(
           "a served report needs a single module, not 'all' (run one "
           "request per module, or drop --socket for the offline path)");
-    serve::CampaignSpec spec;
-    spec.kind = serve::CampaignKind::Rtl;
-    spec.op = argv[2];
-    spec.module = module_arg;
-    fill_spec(*o, spec);
-    if (const auto err = serve::validate_spec(spec)) return usage_error(*err);
     std::string error;
-    const auto r = serve::query_report(o->socket, spec,
+    const auto r = serve::query_report(o.socket, c->spec,
                                        stderr_progress("trials"), &error);
     if (!r) {
       std::fprintf(stderr, "error: %s\n", error.c_str());
@@ -715,27 +657,15 @@ int cmd_report(int argc, char** argv) {
     }
     payload = *r;
   } else {
-    core::ReportConfig rc;
-    rc.op = *op;
-    rc.module = module;
-    rc.range = *serve::parse_range(o->range);
-    rc.n_faults = o->faults;
-    rc.seed = o->seed;
-    rc.jobs = o->jobs;
-    rc.acceleration = o->acceleration();
-    rc.fault_model = o->fault_models[0];
-    rc.fault_duration = o->fault_duration;
-    rc.burst_period = o->burst_period;
-    rc.progress = stderr_progress("injections");
-    rc.progress_interval = o->progress_interval;
-    const attr::Report report = core::run_report(rc);
-    payload = o->json ? attr::render_json(report) : attr::render_text(report);
+    const attr::Report report = serve::run_attribution_spec(
+        c->spec, stderr_progress("injections"), nullptr, c->all_modules);
+    payload = o.json ? attr::render_json(report) : attr::render_text(report);
   }
 
-  if (!o->out_path.empty()) {
+  if (!o.out_path.empty()) {
     // Atomic publish: a crashed write never leaves a torn report file.
-    write_file_atomic(o->out_path, payload);
-    std::fprintf(stderr, "wrote %s\n", o->out_path.c_str());
+    write_file_atomic(o.out_path, payload);
+    std::fprintf(stderr, "wrote %s\n", o.out_path.c_str());
   } else {
     std::fwrite(payload.data(), 1, payload.size(), stdout);
     if (payload.empty() || payload.back() != '\n') std::fputc('\n', stdout);
@@ -805,48 +735,13 @@ int cmd_worker(int argc, char** argv) {
 
 int cmd_submit(int argc, char** argv) {
   if (argc < 3) return usage();
-  const std::string kind = argv[2];
-  serve::CampaignSpec spec;
-  int first = 0;
-  if (kind == "rtl") {
-    if (argc < 5) return usage();
-    spec.kind = serve::CampaignKind::Rtl;
-    spec.op = argv[3];
-    spec.module = argv[4];
-    first = 5;
-  } else if (kind == "tmxm") {
-    if (argc < 4) return usage();
-    spec.kind = serve::CampaignKind::Tmxm;
-    spec.module = argv[3];
-    first = 4;
-  } else if (kind == "sw") {
-    if (argc < 5) return usage();
-    spec.kind = serve::CampaignKind::Sw;
-    spec.app = argv[3];
-    spec.model = argv[4];
-    first = 5;
-  } else if (kind == "cnn") {
-    if (argc < 5) return usage();
-    spec.kind = serve::CampaignKind::Cnn;
-    spec.net = argv[3];
-    spec.model = argv[4];
-    first = 5;
-  } else {
-    return usage_error("unknown campaign kind '" + kind + "'");
-  }
-  const auto o = Options::parse(argc, argv, first);
-  if (!o) return 2;
-  if (o->fault_models.size() != 1)
-    return usage_error("gpufi submit expects a single --fault-model");
-  fill_spec(*o, spec);
-  spec.plan = o->plan;
+  auto c = parse_campaign(argc, argv, 2, /*submit=*/true);
+  if (!c) return 2;
   // --workers on submit is the fabric fan-out width (0 = one local shard);
   // `serve --workers` is the daemon's local executor count.
-  spec.workers = o->workers_set ? o->workers : 0;
-  if (const auto err = serve::validate_spec(spec)) return usage_error(*err);
-
-  const auto outcome =
-      serve::submit_campaign(o->socket, spec, stderr_progress("trials"));
+  c->spec.workers = c->o.workers_set ? c->o.workers : 0;
+  const auto outcome = serve::submit_campaign(c->o.socket, c->spec,
+                                              stderr_progress("trials"));
   if (!outcome.ok) {
     std::fprintf(stderr, "error: %s\n", outcome.error.c_str());
     return 1;
@@ -900,11 +795,9 @@ int main(int argc, char** argv) {
   const std::string cmd = argv[1];
   try {
     if (cmd == "modules") return cmd_modules();
-    if (cmd == "rtl") return cmd_rtl(argc, argv);
-    if (cmd == "tmxm") return cmd_tmxm(argc, argv);
+    if (cmd == "rtl" || cmd == "tmxm" || cmd == "sw" || cmd == "cnn")
+      return cmd_campaign(argc, argv);
     if (cmd == "build-db") return cmd_build_db(argc, argv);
-    if (cmd == "sw") return cmd_sw(argc, argv);
-    if (cmd == "cnn") return cmd_cnn(argc, argv);
     if (cmd == "report") return cmd_report(argc, argv);
     if (cmd == "serve") return cmd_serve(argc, argv);
     if (cmd == "worker") return cmd_worker(argc, argv);

@@ -32,8 +32,45 @@ void throw_if_stopped(const exec::CancelToken* cancel) {
   if (cancel && cancel->stopped()) throw CancelledError("campaign cancelled");
 }
 
-}  // namespace
+/// Refuses a spec the runner cannot run: one of another kind (`kind_ok`
+/// false; `needs` says what the runner takes) or with a vocabulary error.
+void check_spec(const CampaignSpec& spec, bool kind_ok, const char* needs) {
+  if (!kind_ok) throw std::invalid_argument(needs);
+  if (const auto err = validate_spec(spec)) throw std::invalid_argument(*err);
+}
 
+/// The one spec-to-swfi::Config mapping of the sw runners. The syndrome
+/// database `cfg.db` points at, when the model samples one, is kept alive
+/// by `db`.
+swfi::Config sw_config_for_spec(const CampaignSpec& spec, Caches& caches,
+                                const exec::ProgressFn& progress,
+                                const exec::CancelToken* cancel,
+                                std::shared_ptr<const syndrome::Database>& db) {
+  swfi::Config cfg;
+  cfg.model = *parse_sw_model(spec.model);
+  cfg.n_injections = spec.injections;
+  cfg.seed = spec.seed;
+  cfg.jobs = spec.jobs;
+  cfg.progress = progress;
+  cfg.progress_interval = spec.progress_interval;
+  cfg.cancel = cancel;
+  if (cfg.model == swfi::FaultModel::RelativeError ||
+      cfg.model == swfi::FaultModel::WarpRelativeError ||
+      cfg.model == swfi::FaultModel::StickyRelativeError) {
+    db = caches.syndrome_db(spec.db_path, spec.jobs);
+    throw_if_stopped(cancel);  // the shared build may outlive a deadline
+    cfg.db = db.get();
+    // Sticky replay images a stuck-at fault: sample that syndrome class
+    // (falls back to transient inside the database when absent).
+    if (cfg.model == swfi::FaultModel::StickyRelativeError)
+      cfg.syndrome_model = rtl::FaultModel::StuckAt1;
+  }
+  return cfg;
+}
+
+/// Cache key of the shareable golden half of an RTL/t-MxM campaign: the
+/// workload identity (name encodes op/range or tile kind; the value seed is
+/// spec.seed) plus the trace geometry rtlfi::prepare_golden depends on.
 std::string golden_cache_key(const CampaignSpec& spec,
                              const rtlfi::CampaignConfig& cc,
                              const rtlfi::Workload& w) {
@@ -46,6 +83,8 @@ std::string golden_cache_key(const CampaignSpec& spec,
     key += "/ckpt=" + std::to_string(cc.checkpoint_interval);
   return key;
 }
+
+}  // namespace
 
 rtlfi::CampaignConfig campaign_config_for_spec(
     const CampaignSpec& spec, rtl::Module module,
@@ -65,92 +104,131 @@ rtlfi::CampaignConfig campaign_config_for_spec(
   return cc;
 }
 
+rtlfi::CampaignResult run_rtl_spec(const CampaignSpec& spec, Caches& caches,
+                                   const exec::ProgressFn& progress,
+                                   const exec::CancelToken* cancel,
+                                   std::optional<exec::TrialRange> range) {
+  check_spec(spec,
+             spec.kind == CampaignKind::Rtl || spec.kind == CampaignKind::Tmxm,
+             "rtl campaigns need an rtl or tmxm spec");
+  const auto w =
+      spec.kind == CampaignKind::Rtl
+          ? rtlfi::make_microbenchmark(*parse_opcode(spec.op),
+                                       *parse_range(spec.range), spec.seed)
+          : rtlfi::make_tmxm(*parse_tile(spec.tile), spec.seed);
+  auto cc = campaign_config_for_spec(spec, *parse_module(spec.module),
+                                     progress, cancel);
+  if (range) {
+    cc.shard_offset = range->offset;
+    cc.shard_count = range->count;
+  }
+  // The golden half depends only on the workload and trace geometry, so
+  // every request and shard with the same key shares one.
+  const auto golden = caches.golden(golden_cache_key(spec, cc, w), [&] {
+    return rtlfi::prepare_golden(w, cc);
+  });
+  auto r = rtlfi::run_campaign(w, cc, *golden);
+  throw_if_stopped(cancel);
+  return r;
+}
+
+swfi::Result run_sw_spec(const CampaignSpec& spec, Caches& caches,
+                         const exec::ProgressFn& progress,
+                         const exec::CancelToken* cancel,
+                         std::optional<exec::TrialRange> range) {
+  check_spec(spec, spec.kind == CampaignKind::Sw && spec.plan.empty(),
+             "fixed-trial sw campaigns need a sw spec without a plan");
+  std::shared_ptr<const syndrome::Database> db;
+  auto cfg = sw_config_for_spec(spec, caches, progress, cancel, db);
+  if (range) {
+    cfg.shard_offset = range->offset;
+    cfg.shard_count = range->count;
+  }
+  auto r = swfi::run_sw_campaign(vocab::make_app(spec.app).app, cfg);
+  throw_if_stopped(cancel);
+  return r;
+}
+
+swfi::PlanResult run_planned_sw_spec(const CampaignSpec& spec, Caches& caches,
+                                     const exec::ProgressFn& progress,
+                                     const exec::CancelToken* cancel) {
+  check_spec(spec, spec.kind == CampaignKind::Sw && !spec.plan.empty(),
+             "planned sw campaigns need a sw spec with a plan");
+  std::shared_ptr<const syndrome::Database> db;
+  const auto cfg = sw_config_for_spec(spec, caches, progress, cancel, db);
+  auto pr = swfi::run_planned_campaign(vocab::make_app(spec.app).app, cfg,
+                                       *vocab::parse_plan(spec.plan));
+  throw_if_stopped(cancel);
+  return pr;
+}
+
+nn::CnnCampaignResult run_cnn_spec(const CampaignSpec& spec, Caches& caches,
+                                   const exec::CancelToken* cancel) {
+  check_spec(spec, spec.kind == CampaignKind::Cnn,
+             "cnn campaigns need a cnn spec");
+  const auto db = caches.syndrome_db(spec.db_path, spec.jobs);
+  const auto models = core::ensure_models(spec.models_dir);
+  throw_if_stopped(cancel);
+  const bool lenet = spec.net == "lenet";
+  auto r = nn::run_cnn_campaign(
+      lenet ? models.lenet : models.yololite,
+      lenet ? nn::CnnTask::Classification : nn::CnnTask::Detection,
+      *parse_cnn_model(spec.model), db.get(), spec.injections, spec.seed);
+  throw_if_stopped(cancel);
+  return r;
+}
+
+attr::Report run_attribution_spec(const CampaignSpec& spec,
+                                  const exec::ProgressFn& progress,
+                                  const exec::CancelToken* cancel,
+                                  bool all_modules) {
+  check_spec(spec, spec.kind == CampaignKind::Rtl,
+             "attribution reports require an rtl campaign spec");
+  core::ReportConfig rc;
+  rc.op = *parse_opcode(spec.op);
+  if (!all_modules) rc.module = *parse_module(spec.module);
+  rc.range = *parse_range(spec.range);
+  rc.n_faults = spec.faults;
+  rc.seed = spec.seed;
+  rc.jobs = spec.jobs;
+  rc.acceleration = *parse_acceleration(spec.accel);
+  rc.fault_model = *parse_fault_model(spec.fault_model);
+  rc.fault_duration = spec.fault_duration;
+  rc.burst_period = spec.burst_period;
+  rc.progress = progress;
+  rc.progress_interval = spec.progress_interval;
+  rc.cancel = cancel;
+  auto report = core::run_report(rc);
+  throw_if_stopped(cancel);
+  return report;
+}
+
 std::string run_spec(const CampaignSpec& spec, Caches& caches,
                      const exec::ProgressFn& progress,
                      const exec::CancelToken* cancel,
                      std::optional<exec::TrialRange> range) {
-  if (const auto err = validate_spec(spec))
-    throw std::invalid_argument(*err);
   obs::Span span("serve.run_spec");
   span.set("kind", campaign_kind_name(spec.kind));
-
   switch (spec.kind) {
     case CampaignKind::Rtl:
     case CampaignKind::Tmxm: {
-      const auto w =
-          spec.kind == CampaignKind::Rtl
-              ? rtlfi::make_microbenchmark(*parse_opcode(spec.op),
-                                           *parse_range(spec.range), spec.seed)
-              : rtlfi::make_tmxm(*parse_tile(spec.tile), spec.seed);
-      auto cc = campaign_config_for_spec(spec, *parse_module(spec.module),
-                                         progress, cancel);
-      if (range) {
-        cc.shard_offset = range->offset;
-        cc.shard_count = range->count;
-      }
-      // The golden half depends only on the workload and trace geometry,
-      // so every request and shard with the same key shares one.
-      const auto golden = caches.golden(
-          golden_cache_key(spec, cc, w),
-          [&] { return rtlfi::prepare_golden(w, cc); });
-      const auto r = rtlfi::run_campaign(w, cc, *golden);
-      throw_if_stopped(cancel);
+      const auto r = run_rtl_spec(spec, caches, progress, cancel, range);
       return range ? fabric::encode_rtl_partial(r)
                    : serialize_campaign_result(spec, r);
     }
     case CampaignKind::Sw: {
-      if (range && !spec.plan.empty())
-        throw std::invalid_argument("planned sw campaigns only run whole");
-      const auto app = vocab::make_app(spec.app);
-      swfi::Config cfg;
-      cfg.model = *parse_sw_model(spec.model);
-      cfg.n_injections = spec.injections;
-      cfg.seed = spec.seed;
-      cfg.jobs = spec.jobs;
-      cfg.progress = progress;
-      cfg.progress_interval = spec.progress_interval;
-      cfg.cancel = cancel;
-      if (range) {
-        cfg.shard_offset = range->offset;
-        cfg.shard_count = range->count;
-      }
-      std::shared_ptr<const syndrome::Database> db;
-      if (cfg.model == swfi::FaultModel::RelativeError ||
-          cfg.model == swfi::FaultModel::WarpRelativeError ||
-          cfg.model == swfi::FaultModel::StickyRelativeError) {
-        db = caches.syndrome_db(spec.db_path, spec.jobs);
-        throw_if_stopped(cancel);  // the shared build may outlive a deadline
-        cfg.db = db.get();
-        // Sticky replay images a stuck-at fault: sample that syndrome class
-        // (falls back to transient inside the database when absent).
-        if (cfg.model == swfi::FaultModel::StickyRelativeError)
-          cfg.syndrome_model = rtl::FaultModel::StuckAt1;
-      }
       if (!spec.plan.empty()) {
-        const auto plan = vocab::parse_plan(spec.plan);
-        if (!plan)  // validate_spec guarantees this cannot happen
-          throw std::invalid_argument("bad plan: " + spec.plan);
-        const auto pr = swfi::run_planned_campaign(app.app, cfg, *plan);
-        throw_if_stopped(cancel);
-        return serialize_planned_sw_result(pr);
+        if (range)
+          throw std::invalid_argument("planned sw campaigns only run whole");
+        return serialize_planned_sw_result(
+            run_planned_sw_spec(spec, caches, progress, cancel));
       }
-      const auto r = swfi::run_sw_campaign(app.app, cfg);
-      throw_if_stopped(cancel);
+      const auto r = run_sw_spec(spec, caches, progress, cancel, range);
       return range ? fabric::encode_sw_partial(r) : serialize_sw_result(r);
     }
-    case CampaignKind::Cnn: {
+    case CampaignKind::Cnn:
       if (range) throw std::invalid_argument("cnn campaigns only run whole");
-      const auto db = caches.syndrome_db(spec.db_path, spec.jobs);
-      const auto models = core::ensure_models(spec.models_dir);
-      throw_if_stopped(cancel);
-      const bool lenet = spec.net == "lenet";
-      const auto r = nn::run_cnn_campaign(
-          lenet ? models.lenet : models.yololite,
-          lenet ? nn::CnnTask::Classification : nn::CnnTask::Detection,
-          *parse_cnn_model(spec.model), db.get(), spec.injections, spec.seed);
-      throw_if_stopped(cancel);
-      return serialize_cnn_result(r);
-    }
+      return serialize_cnn_result(run_cnn_spec(spec, caches, cancel));
   }
   throw std::logic_error("unreachable campaign kind");
 }
@@ -164,31 +242,9 @@ std::string run_spec_offline(const CampaignSpec& spec) {
 std::string run_report_spec(const CampaignSpec& spec,
                             const exec::ProgressFn& progress,
                             const exec::CancelToken* cancel) {
-  if (spec.kind != CampaignKind::Rtl)
-    throw std::invalid_argument(
-        "attribution reports require an rtl campaign spec");
-  if (const auto err = validate_spec(spec))
-    throw std::invalid_argument(*err);
   obs::Span span("serve.run_report");
   span.set("op", spec.op);
-
-  core::ReportConfig rc;
-  rc.op = *parse_opcode(spec.op);
-  rc.module = *parse_module(spec.module);
-  rc.range = *parse_range(spec.range);
-  rc.n_faults = spec.faults;
-  rc.seed = spec.seed;
-  rc.jobs = spec.jobs;
-  rc.acceleration = *parse_acceleration(spec.accel);
-  rc.fault_model = *parse_fault_model(spec.fault_model);
-  rc.fault_duration = spec.fault_duration;
-  rc.burst_period = spec.burst_period;
-  rc.progress = progress;
-  rc.progress_interval = spec.progress_interval;
-  rc.cancel = cancel;
-  const attr::Report report = core::run_report(rc);
-  throw_if_stopped(cancel);
-  return attr::render_json(report);
+  return attr::render_json(run_attribution_spec(spec, progress, cancel));
 }
 
 std::string run_report_offline(const CampaignSpec& spec) {

@@ -23,6 +23,7 @@
 #include <optional>
 #include <string>
 
+#include "attr/attr.hpp"
 #include "serve/cache.hpp"
 #include "serve/protocol.hpp"
 
@@ -86,36 +87,58 @@ rtlfi::CampaignConfig campaign_config_for_spec(
     const CampaignSpec& spec, rtl::Module module,
     const exec::ProgressFn& progress, const exec::CancelToken* cancel);
 
-/// Cache key of the shareable golden half of an RTL/t-MxM campaign: the
-/// workload identity (name encodes op/range or tile kind; the value seed is
-/// spec.seed) plus the trace geometry rtlfi::prepare_golden depends on.
-std::string golden_cache_key(const CampaignSpec& spec,
-                             const rtlfi::CampaignConfig& cc,
-                             const rtlfi::Workload& w);
+// Typed spec runners: the one spec-to-campaign mapping per kind, shared by
+// the daemon's executors, `gpufi worker` and the offline CLI commands. Each
+// runs on the calling thread, sharing `caches`; `progress`/`cancel` may be
+// empty/null. Each throws std::invalid_argument for a spec of another kind
+// or one validate_spec refuses, and throws the partial result away when
+// `cancel` stopped the loop. With `range`, only those trials run (a shard).
 
-/// Executes one campaign spec on the calling thread, sharing `caches` —
-/// the one spec-to-campaign dispatch every executor (local or remote) and
-/// the offline path share. Without `range` it runs the whole campaign and
-/// returns the deterministic Result payload; with one it runs only those
-/// trials and returns the lossless partial (fabric::encode_rtl_partial /
-/// encode_sw_partial) that merges into it. cnn and planned sw campaigns
-/// only run whole. `progress`/`cancel` may be empty/null. Throws on
-/// failure, and throws the partial results away when `cancel` stopped the
-/// loop.
+/// rtl and tmxm specs.
+rtlfi::CampaignResult run_rtl_spec(
+    const CampaignSpec& spec, Caches& caches, const exec::ProgressFn& progress,
+    const exec::CancelToken* cancel,
+    std::optional<exec::TrialRange> range = std::nullopt);
+
+/// sw specs without a plan.
+swfi::Result run_sw_spec(const CampaignSpec& spec, Caches& caches,
+                         const exec::ProgressFn& progress,
+                         const exec::CancelToken* cancel,
+                         std::optional<exec::TrialRange> range = std::nullopt);
+
+/// sw specs with a plan (whole campaigns only).
+swfi::PlanResult run_planned_sw_spec(const CampaignSpec& spec, Caches& caches,
+                                     const exec::ProgressFn& progress,
+                                     const exec::CancelToken* cancel);
+
+/// cnn specs (whole campaigns only).
+nn::CnnCampaignResult run_cnn_spec(const CampaignSpec& spec, Caches& caches,
+                                   const exec::CancelToken* cancel);
+
+/// Attribution report of an rtl spec. `all_modules` bombards all six
+/// modules instead of spec.module (the offline `gpufi report <op> all`).
+attr::Report run_attribution_spec(const CampaignSpec& spec,
+                                  const exec::ProgressFn& progress,
+                                  const exec::CancelToken* cancel,
+                                  bool all_modules = false);
+
+/// The one spec-to-campaign dispatch every executor (local or remote) runs:
+/// the spec's typed runner, serialized. Without `range` it returns the
+/// deterministic Result payload; with one, the lossless partial
+/// (fabric::encode_rtl_partial / encode_sw_partial) that merges into it.
 std::string run_spec(const CampaignSpec& spec, Caches& caches,
                      const exec::ProgressFn& progress,
                      const exec::CancelToken* cancel,
                      std::optional<exec::TrialRange> range = std::nullopt);
 
-/// The offline reference path: same dispatch with fresh caches and no
-/// hooks — what the CLI runs, and what the byte-identity tests compare a
-/// served payload against.
+/// run_spec with fresh caches and no hooks: the payload of what the offline
+/// `gpufi rtl|tmxm|sw|cnn` computes (it runs the same typed runners with
+/// fresh caches), and what the byte-identity tests compare a served payload
+/// against.
 std::string run_spec_offline(const CampaignSpec& spec);
 
-/// Executes one attribution-report spec (kind must be rtl) on the calling
-/// thread and returns the report JSON (attr::render_json) — the Report
-/// frame payload, byte-identical to the offline `gpufi report --json` of
-/// the same spec.
+/// The Report frame payload: run_attribution_spec as JSON
+/// (attr::render_json), byte-identical to the offline `gpufi report --json`.
 std::string run_report_spec(const CampaignSpec& spec,
                             const exec::ProgressFn& progress,
                             const exec::CancelToken* cancel);

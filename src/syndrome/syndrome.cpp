@@ -1,9 +1,11 @@
 #include "syndrome/syndrome.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <iomanip>
+#include <iterator>
 #include <limits>
 #include <set>
 #include <sstream>
@@ -323,15 +325,73 @@ void save_dist(std::ostream& os, const Dist& d) {
   os << '\n';
 }
 
-Dist load_dist(std::istream& is) {
-  Dist d;
-  std::size_t count = 0, stored = 0;
-  is >> count >> stored;
-  for (std::size_t i = 0; i < stored; ++i) {
-    double s;
-    is >> s;
-    d.add(s);
+/// Strict reader of the database text: every read must find a whole token
+/// that parses completely, or the load throws. Nothing is skipped or
+/// wrapped silently.
+class Reader {
+ public:
+  explicit Reader(std::string text) : text_(std::move(text)) {}
+
+  std::string_view token() {
+    skip_space();
+    const std::size_t start = pos_;
+    while (pos_ < text_.size() && !is_space(text_[pos_])) ++pos_;
+    if (pos_ == start) throw std::runtime_error("syndrome db: truncated");
+    return std::string_view(text_).substr(start, pos_ - start);
   }
+
+  template <class T>
+  T number() {
+    const auto tok = token();
+    T v{};
+    const auto [end, ec] =
+        std::from_chars(tok.data(), tok.data() + tok.size(), v);
+    if (ec != std::errc{} || end != tok.data() + tok.size())
+      throw std::runtime_error("syndrome db: bad number '" +
+                               std::string(tok) + "'");
+    return v;
+  }
+
+  /// An enum value, checked against its count before the cast.
+  template <class Enum>
+  Enum index(std::size_t count, const char* what) {
+    const auto v = number<std::size_t>();
+    if (v >= count)
+      throw std::runtime_error(std::string("syndrome db: ") + what + " " +
+                               std::to_string(v) + " out of range");
+    return static_cast<Enum>(v);
+  }
+
+  /// Bytes not read yet: each stored sample needs at least two of them (a
+  /// separator and a digit).
+  std::size_t remaining() const { return text_.size() - pos_; }
+
+  void expect_end() {
+    skip_space();
+    if (pos_ != text_.size())
+      throw std::runtime_error("syndrome db: trailing bytes");
+  }
+
+ private:
+  static bool is_space(char c) {
+    return c == ' ' || c == '\n' || c == '\t' || c == '\r';
+  }
+  void skip_space() {
+    while (pos_ < text_.size() && is_space(text_[pos_])) ++pos_;
+  }
+
+  std::string text_;
+  std::size_t pos_ = 0;
+};
+
+Dist load_dist(Reader& in) {
+  Dist d;
+  in.number<std::size_t>();  // count: rebuilt by add() below
+  const auto stored = in.number<std::size_t>();
+  if (stored > in.remaining() / 2)
+    throw std::runtime_error("syndrome db: " + std::to_string(stored) +
+                             " samples cannot fit in the remaining input");
+  for (std::size_t i = 0; i < stored; ++i) d.add(in.number<double>());
   d.fit();
   return d;
 }
@@ -344,14 +404,13 @@ void save_tmxm(std::ostream& os, const TilePatternStats& s) {
   save_dist(os, s.elements);
 }
 
-TilePatternStats load_tmxm(std::istream& is) {
+TilePatternStats load_tmxm(Reader& in) {
   TilePatternStats s;
-  std::string tag;
-  is >> tag;
-  if (tag != "tmxm") throw std::runtime_error("syndrome db: bad tmxm tag");
-  for (auto& c : s.counts) is >> c;
-  s.record_max = load_dist(is);
-  s.elements = load_dist(is);
+  if (in.token() != "tmxm")
+    throw std::runtime_error("syndrome db: bad tmxm tag");
+  for (auto& c : s.counts) c = in.number<std::size_t>();
+  s.record_max = load_dist(in);
+  s.elements = load_dist(in);
   return s;
 }
 
@@ -374,25 +433,25 @@ void Database::save(std::ostream& os) const {
 }
 
 Database Database::load(std::istream& is) {
+  std::string text(std::istreambuf_iterator<char>(is), {});
+  if (is.bad()) throw std::runtime_error("syndrome db: read error");
+  Reader in(std::move(text));
   Database db;
-  std::string magic;
-  int version = 0;
-  is >> magic >> version;
-  if (magic != "gpufi-syndrome-db")
+  if (in.token() != "gpufi-syndrome-db")
     throw std::runtime_error("syndrome db: bad header");
+  const int version = in.number<int>();
   if (version != kSchemaVersion) throw SchemaMismatch(version, kSchemaVersion);
-  std::size_t n = 0;
-  is >> n;
+  const auto n = in.number<std::size_t>();
   for (std::size_t i = 0; i < n; ++i) {
-    int m, o, r, fm;
-    is >> m >> o >> r >> fm;
-    Key key{static_cast<rtl::Module>(m), static_cast<isa::Opcode>(o),
-            static_cast<rtlfi::InputRange>(r),
-            static_cast<rtl::FaultModel>(fm)};
-    db.dists_[key] = load_dist(is);
+    Key key{in.index<rtl::Module>(rtl::kNumModules, "module"),
+            in.index<isa::Opcode>(isa::kNumOpcodes, "op"),
+            in.index<rtlfi::InputRange>(rtlfi::kNumRanges, "range"),
+            in.index<rtl::FaultModel>(rtl::kNumFaultModels, "model")};
+    db.dists_[key] = load_dist(in);
   }
-  db.tmxm_scheduler_ = load_tmxm(is);
-  db.tmxm_pipeline_ = load_tmxm(is);
+  db.tmxm_scheduler_ = load_tmxm(in);
+  db.tmxm_pipeline_ = load_tmxm(in);
+  in.expect_end();
   return db;
 }
 

@@ -26,6 +26,7 @@
 #include "serve/server.hpp"
 #include "syndrome/syndrome.hpp"
 #include "vocab/vocab.hpp"
+#include "mutants.hpp"
 
 using namespace gpufi;
 using namespace gpufi::serve;
@@ -271,6 +272,56 @@ TEST(Protocol, EncodeRefusesNewlinesInValues) {
   CampaignSpec spec;
   spec.op = "FFMA\nfaults=1";
   EXPECT_THROW(encode_spec(spec), std::invalid_argument);
+}
+
+TEST(Protocol, SpecMutantsAreRejectedOrRoundTrip) {
+  // Seeded mutants of an encoded spec: each one is rejected, or decodes to
+  // a spec whose own encoding decodes back to it. Keys may come in any
+  // order and absent ones keep their defaults, so a byte-exact re-encode of
+  // the mutant is not required.
+  CampaignSpec spec;
+  spec.kind = CampaignKind::Sw;
+  spec.model = "sticky";
+  spec.fault_model = "burst";
+  spec.fault_duration = 64;
+  spec.injections = 45;
+  spec.seed = 999;
+  spec.priority = -2;
+  spec.deadline_ms = 1500;
+  spec.plan = "target_err=0.05,min_trials=16";
+  spec.workers = 4;
+  fuzz::for_each_mutant(
+      encode_spec(spec), 3000, "0123456789 \n=-,.kfpsx",
+      [](const std::string& m, int i) {
+        const auto back = decode_spec(m);
+        if (back) {
+          const auto again = decode_spec(encode_spec(*back));
+          EXPECT_TRUE(again && *again == *back)
+              << "mutant " << i << " decoded but does not round-trip";
+        }
+        return back.has_value();
+      });
+}
+
+TEST(Protocol, FrameMutantsAreRejectedOrReencodeExactly) {
+  // Seeded mutants of two back-to-back frames: each one returns a non-Ok
+  // status, or decodes to a frame whose encoding is exactly the bytes the
+  // decoder consumed.
+  CampaignSpec spec;
+  const std::string wire =
+      encode_frame({FrameType::Submit, encode_spec(spec)}) +
+      encode_frame({FrameType::Status, ""});
+  fuzz::for_each_mutant(
+      wire, 3000, std::string_view("\x00\x01\x04\x0b\x11\x12\xff=\n", 9),
+      [](const std::string& m, int i) {
+        Frame f;
+        std::size_t consumed = 0;
+        if (decode_frame(m, f, consumed, 4096) != DecodeStatus::Ok)
+          return false;
+        EXPECT_EQ(encode_frame(f), m.substr(0, consumed))
+            << "mutant " << i << " decoded but does not re-encode";
+        return true;
+      });
 }
 
 TEST(Vocab, ParseProgressIntervalIsStrict) {

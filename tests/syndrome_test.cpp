@@ -181,8 +181,35 @@ TEST(Database, SerializationRoundTrip) {
 }
 
 TEST(Database, LoadRejectsGarbage) {
-  std::stringstream ss("not-a-db 7");
-  EXPECT_THROW(Database::load(ss), std::runtime_error);
+  const auto rejects = [](const std::string& text) {
+    std::stringstream ss(text);
+    EXPECT_THROW(Database::load(ss), std::runtime_error) << text;
+  };
+  rejects("not-a-db 7");
+  std::stringstream saved;
+  Database{}.save(saved);
+  const std::string valid = saved.str();
+  const std::string header = "gpufi-syndrome-db 2\n";
+  const std::string tiles = valid.substr(valid.find("tmxm"));
+  for (const auto& ok : {valid, header + "1\n0 0 0 0\n1 1 0.5\n" + tiles}) {
+    std::stringstream ss(ok);
+    EXPECT_NO_THROW(Database::load(ss)) << ok;
+  }
+  // A sample count the remaining input cannot hold is refused at once
+  // (reading it used to spin for more than 10 s).
+  rejects(header + "1\n0 0 0 0\n5 4000000000\n");
+  rejects(header + "1\n0 0 0 0\n5 4000000000\n" + tiles);
+  // Key values out of range are refused before the enum cast.
+  rejects(header + "1\n77 250 9 42\n1 1 0.5\n" + tiles);
+  rejects(header + "1\n0 0 0 4\n1 1 0.5\n" + tiles);
+  rejects(header + "1\n0 -1 0 0\n1 1 0.5\n" + tiles);
+  // Every read must succeed: no sign on counts, no partial number, no
+  // missing field, no trailing bytes.
+  rejects(header + "1\n0 0 0 0\n-1 1 0.5\n" + tiles);
+  rejects(header + "1\n0 0 0 0\n1 1 0.5x\n" + tiles);
+  rejects(header + "1\n0 0 0\n");
+  rejects(valid.substr(0, valid.size() - 3));
+  rejects(valid + "garbage here\n");
 }
 
 TEST(Database, LoadRejectsWrongSchemaVersionWithSchemaMismatch) {
