@@ -174,6 +174,20 @@ syndrome::Database ensure_syndrome_database(
   return db;
 }
 
+namespace {
+
+/// Throws unless `net` takes one `side` x `side` channel and returns `outs`
+/// values — the shapes the campaigns feed and decode.
+void expect_interface(const nn::Network& net, unsigned side, std::size_t outs,
+                      const std::string& path) {
+  if (net.in_c != 1 || net.in_h != side || net.in_w != side ||
+      net.output_size() != outs)
+    throw std::runtime_error(path + ": network shape does not fit the " +
+                             "campaign inputs");
+}
+
+}  // namespace
+
 Models ensure_models(const std::string& dir, unsigned lenet_steps,
                      unsigned yolo_steps) {
   std::filesystem::create_directories(dir);
@@ -184,6 +198,12 @@ Models ensure_models(const std::string& dir, unsigned lenet_steps,
       std::filesystem::exists(yolo_path)) {
     m.lenet = nn::Network::load_file(lenet_path);
     m.yololite = nn::Network::load_file(yolo_path);
+    // A well-formed file of another network would still be read out of
+    // bounds by the campaign inputs: pin each model's interface.
+    expect_interface(m.lenet, 28, 10, lenet_path);
+    expect_interface(m.yololite, 32,
+                     nn::kDetChannels * nn::kDetGrid * nn::kDetGrid,
+                     yolo_path);
     // Quality numbers are recomputed on a fresh holdout.
     Rng rng(777);
     unsigned ok = 0;

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <fstream>
+#include <iterator>
 #include <stdexcept>
+#include <string_view>
 
 namespace gpufi::nn {
 
@@ -778,9 +781,7 @@ bool detections_match(const std::vector<Detection>& a,
 
 // ---------------------------------------------------------- serialization
 
-void Network::save_file(const std::string& path) const {
-  std::ofstream os(path, std::ios::binary);
-  if (!os) throw std::runtime_error("cannot write " + path);
+void Network::save(std::ostream& os) const {
   auto put_u32 = [&](std::uint32_t v) {
     os.write(reinterpret_cast<const char*>(&v), 4);
   };
@@ -814,55 +815,168 @@ void Network::save_file(const std::string& path) const {
   }
 }
 
+void Network::save_file(const std::string& path) const {
+  std::ofstream os(path, std::ios::binary);
+  if (!os) throw std::runtime_error("cannot write " + path);
+  save(os);
+  if (!os) throw std::runtime_error("cannot write " + path);
+}
+
+namespace {
+
+/// Largest activation tensor (elements) a loaded network may produce: the
+/// file only bounds the weights, and a consistent chain of huge input
+/// dimensions would otherwise ask host_forward for gigabytes.
+constexpr std::uint64_t kMaxActivation = std::uint64_t{1} << 24;
+
+[[noreturn]] void malformed(const std::string& why) {
+  throw std::runtime_error("malformed network file: " + why);
+}
+
+/// Bounds-checked little cursor over a .gfnn image: every read checks the
+/// bytes left, so a truncated or inflated count is an error, not a read
+/// past the end or a multi-gigabyte allocation.
+class GfnnReader {
+ public:
+  explicit GfnnReader(std::string_view bytes) : b_(bytes) {}
+
+  std::uint32_t u32() {
+    need(4, "truncated");
+    std::uint32_t v = 0;
+    std::memcpy(&v, b_.data() + at_, 4);
+    at_ += 4;
+    return v;
+  }
+  /// A 0/1 flag (anything else would not save back to the same bytes).
+  bool flag() {
+    const auto v = u32();
+    if (v > 1) malformed("flag is not 0 or 1");
+    return v != 0;
+  }
+  std::string str() {
+    const auto n = u32();
+    need(n, "name longer than the file");
+    std::string s(b_.substr(at_, n));
+    at_ += n;
+    return s;
+  }
+  std::vector<float> floats() {
+    const auto n = u32();
+    need(std::uint64_t{n} * 4, "array longer than the file");
+    std::vector<float> v(n);
+    if (n != 0) std::memcpy(v.data(), b_.data() + at_, std::size_t{n} * 4);
+    at_ += std::size_t{n} * 4;
+    return v;
+  }
+  /// A layer count: every layer takes at least `min_bytes` more bytes.
+  std::uint32_t count(std::size_t min_bytes) {
+    const auto n = u32();
+    need(std::uint64_t{n} * min_bytes, "layer count larger than the file");
+    return n;
+  }
+  bool done() const { return at_ == b_.size(); }
+
+ private:
+  void need(std::uint64_t n, const char* why) const {
+    if (n > b_.size() - at_) malformed(why);
+  }
+  std::string_view b_;
+  std::size_t at_ = 0;
+};
+
+/// Checks that the layers chain: each layer's input shape is the previous
+/// layer's output shape, and each weight/bias array has its layer's size.
+void check_shapes(const Network& net) {
+  const auto check_activation = [](std::uint64_t c, std::uint64_t h,
+                                   std::uint64_t w) {
+    if (c == 0 || h == 0 || w == 0 || c > kMaxActivation ||
+        h > kMaxActivation / c || w > kMaxActivation / (c * h))
+      malformed("empty or oversized activation");
+  };
+  std::uint64_t c = net.in_c, h = net.in_h, w = net.in_w;
+  check_activation(c, h, w);
+  for (const auto& l : net.convs) {
+    if (l.in_c != c || l.in_h != h || l.in_w != w)
+      malformed("conv input does not match the previous layer");
+    if (l.k == 0 || l.k > l.in_h || l.k > l.in_w)
+      malformed("bad conv kernel");
+    c = l.out_c;
+    h = l.out_h();
+    w = l.out_w();
+    check_activation(c, h, w);
+    if (l.weights.size() != std::uint64_t{l.out_c} * l.in_c * l.k * l.k ||
+        l.bias.size() != l.out_c)
+      malformed("conv weights do not match its shape");
+  }
+  std::uint64_t n = c * h * w;
+  for (const auto& f : net.fcs) {
+    if (f.in_n != n) malformed("fc input does not match the previous layer");
+    check_activation(f.out_n, 1, 1);
+    if (f.weights.size() != std::uint64_t{f.out_n} * f.in_n ||
+        f.bias.size() != f.out_n)
+      malformed("fc weights do not match its shape");
+    n = f.out_n;
+  }
+}
+
+}  // namespace
+
+Network Network::load(std::istream& is) {
+  const std::string bytes{std::istreambuf_iterator<char>(is),
+                          std::istreambuf_iterator<char>()};
+  if (is.bad()) throw std::runtime_error("cannot read network stream");
+  if (bytes.compare(0, 4, "GFNN") != 0) malformed("bad magic");
+  GfnnReader r(std::string_view(bytes).substr(4));
+  Network net;
+  net.name = r.str();
+  net.in_c = r.u32();
+  net.in_h = r.u32();
+  net.in_w = r.u32();
+  // A conv layer is seven words plus two array counts, an fc layer five.
+  const auto n_convs = r.count(9 * 4);
+  for (std::uint32_t i = 0; i < n_convs; ++i) {
+    ConvLayer c;
+    c.in_c = r.u32();
+    c.in_h = r.u32();
+    c.in_w = r.u32();
+    c.out_c = r.u32();
+    c.k = r.u32();
+    c.relu = r.flag();
+    c.pool = r.flag();
+    c.weights = r.floats();
+    c.bias = r.floats();
+    net.convs.push_back(std::move(c));
+  }
+  const auto n_fcs = r.count(5 * 4);
+  for (std::uint32_t i = 0; i < n_fcs; ++i) {
+    FcLayer f;
+    f.in_n = r.u32();
+    f.out_n = r.u32();
+    f.relu = r.flag();
+    f.weights = r.floats();
+    f.bias = r.floats();
+    net.fcs.push_back(std::move(f));
+  }
+  if (!r.done()) malformed("trailing bytes");
+  check_shapes(net);
+  return net;
+}
+
 Network Network::load_file(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   if (!is) throw std::runtime_error("cannot read " + path);
-  auto get_u32 = [&]() {
-    std::uint32_t v = 0;
-    is.read(reinterpret_cast<char*>(&v), 4);
-    return v;
-  };
-  auto get_vec = [&]() {
-    std::vector<float> v(get_u32());
-    is.read(reinterpret_cast<char*>(v.data()),
-            static_cast<std::streamsize>(v.size() * 4));
-    return v;
-  };
-  char magic[4];
-  is.read(magic, 4);
-  if (std::string(magic, 4) != "GFNN")
-    throw std::runtime_error("bad network file " + path);
-  Network net;
-  net.name.resize(get_u32());
-  is.read(net.name.data(), static_cast<std::streamsize>(net.name.size()));
-  net.in_c = get_u32();
-  net.in_h = get_u32();
-  net.in_w = get_u32();
-  const auto n_convs = get_u32();
-  for (std::uint32_t i = 0; i < n_convs; ++i) {
-    ConvLayer c;
-    c.in_c = get_u32();
-    c.in_h = get_u32();
-    c.in_w = get_u32();
-    c.out_c = get_u32();
-    c.k = get_u32();
-    c.relu = get_u32() != 0;
-    c.pool = get_u32() != 0;
-    c.weights = get_vec();
-    c.bias = get_vec();
-    net.convs.push_back(std::move(c));
+  try {
+    return load(is);
+  } catch (const std::runtime_error& e) {
+    throw std::runtime_error(path + ": " + e.what());
   }
-  const auto n_fcs = get_u32();
-  for (std::uint32_t i = 0; i < n_fcs; ++i) {
-    FcLayer f;
-    f.in_n = get_u32();
-    f.out_n = get_u32();
-    f.relu = get_u32() != 0;
-    f.weights = get_vec();
-    f.bias = get_vec();
-    net.fcs.push_back(std::move(f));
-  }
-  return net;
+}
+
+std::size_t Network::output_size() const {
+  if (!fcs.empty()) return fcs.back().out_n;
+  if (convs.empty()) return std::size_t{in_c} * in_h * in_w;
+  const auto& c = convs.back();
+  return std::size_t{c.out_c} * c.out_h() * c.out_w();
 }
 
 }  // namespace gpufi::nn

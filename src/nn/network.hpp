@@ -1,5 +1,6 @@
 #pragma once
 
+#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
@@ -52,7 +53,19 @@ struct Network {
   /// YOLO's ~100k average).
   double mean_params_per_layer() const;
 
+  /// Number of values host_forward returns.
+  std::size_t output_size() const;
+
+  /// The .gfnn encoding: magic, name, input shape, then every layer's
+  /// shape words and weight/bias arrays (host byte order).
+  void save(std::ostream& os) const;
   void save_file(const std::string& path) const;
+  /// Decodes a .gfnn image. Throws std::runtime_error on anything that
+  /// does not save back to the same bytes or whose layers do not chain
+  /// (each layer's input shape is the previous layer's output shape and
+  /// its arrays have that shape's sizes), so host_forward never indexes
+  /// out of bounds on a loaded network.
+  static Network load(std::istream& is);
   static Network load_file(const std::string& path);
 };
 

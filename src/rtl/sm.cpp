@@ -4,7 +4,10 @@
 #include <bit>
 #include <cassert>
 #include <functional>
+#include <limits>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
 
 #include "fparith/fp32.hpp"
 #include "fparith/sfu.hpp"
@@ -48,6 +51,61 @@ struct RunCtx {
 
 const RunCtx kPlainRun;
 
+constexpr std::uint64_t kNeverCycle = ~std::uint64_t{0};
+
+/// A flip-flop bank seen through the golden run's access log, the raw
+/// material of the fault-site oracle: every read stamps the field's offset
+/// with the current cycle, every value change marks the changed bits. Only
+/// the traced golden run reads banks through it; every other run uses the
+/// ModuleState directly and pays nothing.
+class LoggedBank {
+ public:
+  explicit LoggedBank(ModuleState& bank)
+      : bank_(&bank), read_at_(bank.size(), 0), changed_(bank.size()) {}
+
+  /// The cycle counter reads are stamped with (the running machine's).
+  void use_clock(const std::uint64_t& clock) { clock_ = &clock; }
+
+  std::uint64_t get(FieldRef f) const {
+    // Truncated to 32 bits: the oracle of a longer run is discarded.
+    read_at_[f.offset] = static_cast<std::uint32_t>(*clock_ + 1);
+    return bank_->get(f);
+  }
+  bool get_flag(FieldRef f) const { return get(f) != 0; }
+  std::int64_t get_signed(FieldRef f) const {
+    get(f);
+    return bank_->get_signed(f);
+  }
+  void set(FieldRef f, std::uint64_t v) {
+    const std::uint64_t old = bank_->bits().get_field(f.offset, f.width);
+    if (old == v) return;
+    changed_.or_field(f.offset, f.width, old ^ v);
+    bank_->replace(f, old, v);
+  }
+  void flip(std::size_t bit) { bank_->flip(bit); }
+  void force(std::size_t bit, bool value) { bank_->force(bit, value); }
+  std::uint64_t digest() const { return bank_->digest(); }
+
+  /// Moves every bit changed since the last drain into `quiet_epoch` under
+  /// `epoch`: the bit's last change so far precedes that epoch's end.
+  void drain_changes(std::vector<std::uint8_t>& quiet_epoch,
+                     std::uint8_t epoch) {
+    changed_.for_each_set([&](std::size_t i) { quiet_epoch[i] = epoch; });
+    changed_.clear();
+  }
+
+  /// Per bit offset: 1 + the last cycle a field starting there was read,
+  /// 0 when never read.
+  const std::vector<std::uint32_t>& read_at() const { return read_at_; }
+  const ModuleState& bank() const { return *bank_; }
+
+ private:
+  ModuleState* bank_;
+  const std::uint64_t* clock_ = nullptr;
+  mutable std::vector<std::uint32_t> read_at_;
+  BitVector changed_;
+};
+
 /// True if the opcode executes entirely in the scheduler controller.
 bool is_scheduler_op(Opcode op) {
   return op == Opcode::BRA || op == Opcode::EXIT || op == Opcode::BAR ||
@@ -62,22 +120,27 @@ bool writes_gpr_op(Opcode op) {
 
 /// The per-run interpreter: owns the micro-sequencing, while every
 /// architectural latch it touches lives in the faultable ModuleStates.
+/// `Bank` is `ModuleState&` for every run but the traced golden one, which
+/// reads the banks through LoggedBanks stamped with this machine's cycle.
+template <class Bank>
 class Machine {
+  using BankT = std::remove_reference_t<Bank>;
+  static constexpr bool kLogged = std::is_same_v<BankT, LoggedBank>;
+
  public:
-  Machine(ModuleState& sched, ModuleState& intfu, ModuleState& fpfu,
-          ModuleState& sfu, ModuleState& sfuctl, ModuleState& pipe,
+  Machine(Bank sched, Bank intfu, Bank fpfu, Bank sfu, Bank sfuctl, Bank pipe,
           TrackedArray<std::uint32_t>& global,
           TrackedArray<std::uint32_t>& regs,
           TrackedArray<std::uint8_t>& preds,
           TrackedArray<std::uint32_t>& shared, const isa::Program& prog,
           const GridDims& dims, const std::optional<FaultSpec>& fault,
           std::uint64_t max_cycles, const RunCtx& ctx)
-      : sched_(sched),
-        intfu_(intfu),
-        fpfu_(fpfu),
-        sfu_(sfu),
-        sfuctl_(sfuctl),
-        pipe_(pipe),
+      : sched_(std::forward<Bank>(sched)),
+        intfu_(std::forward<Bank>(intfu)),
+        fpfu_(std::forward<Bank>(fpfu)),
+        sfu_(std::forward<Bank>(sfu)),
+        sfuctl_(std::forward<Bank>(sfuctl)),
+        pipe_(std::forward<Bank>(pipe)),
         global_(global),
         regs_(regs),
         preds_(preds),
@@ -87,7 +150,58 @@ class Machine {
         fault_(fault),
         max_cycles_(max_cycles),
         ctx_(ctx),
-        L(layouts()) {}
+        L(layouts()) {
+    if constexpr (kLogged)
+      for (std::size_t m = 0; m < kNumModules; ++m)
+        module_of(static_cast<Module>(m)).use_clock(cycle_);
+    // A stuck-at keeps driving for its whole window, but once the golden
+    // bit holds the stuck value for good every force from then on is a
+    // no-op: a state that re-converges with golden after that point stays
+    // golden, so the digest early exit may fire although the fault is still
+    // pending.
+    if (fault_ && ctx_.reference &&
+        (fault_->model == FaultModel::StuckAt0 ||
+         fault_->model == FaultModel::StuckAt1))
+      converge_from_ = std::max(
+          ctx_.reference->quiet_from(fault_->module, fault_->bit,
+                                     fault_->model == FaultModel::StuckAt1),
+          fault_->cycle + 1);
+  }
+
+  Machine(const Machine&) = delete;
+  Machine& operator=(const Machine&) = delete;
+
+  /// After the traced golden run: condenses the access logs into the
+  /// recorded trace's fault-site oracle.
+  void fold_oracle() {
+    GoldenTrace& trace = *ctx_.record;
+    if (trace.result.cycles >= std::numeric_limits<std::uint32_t>::max()) {
+      // Read stamps wrap past 2^32 cycles: record nothing rather than
+      // something unsound.
+      trace.oracle = {};
+      trace.quiet_cycle.clear();
+      return;
+    }
+    for (std::size_t m = 0; m < kNumModules; ++m) {
+      FaultSiteOracle& o = trace.oracle[m];
+      LoggedBank& log = module_of(static_cast<Module>(m));
+      log.drain_changes(o.quiet_epoch, FaultSiteOracle::kNoisy);
+      o.final_bits = log.bank().bits();
+      std::vector<std::uint32_t> read_at = log.read_at();
+      const auto& fields = log.bank().layout().fields();
+      o.last_read.resize(fields.size());
+      for (std::size_t i = 0; i < fields.size(); ++i) {
+        const std::uint32_t stamp = read_at[fields[i].offset];
+        o.last_read[i] = stamp == 0 ? 0 : stamp - 1;
+        read_at[fields[i].offset] = 0;
+      }
+      // Rule (a) keys reads by field; a read through a FieldRef that starts
+      // anywhere but a registered field would escape it.
+      if (std::any_of(read_at.begin(), read_at.end(),
+                      [](std::uint32_t r) { return r != 0; }))
+        throw std::logic_error("golden run read an unregistered field offset");
+    }
+  }
 
   RunResult run() {
     RunResult result;
@@ -134,9 +248,10 @@ class Machine {
 
   /// Drives the injected fault at a clock edge. `fault_pending_` stays true
   /// for as long as the fault can still act: until the flip for Transient,
-  /// until the window closes for the windowed models — and forever for a
-  /// permanent fault (duration 0), which is what keeps the convergence
-  /// early-exit gated off for the whole run.
+  /// until the window closes for the windowed models, and forever for a
+  /// permanent fault (duration 0). While it is true the convergence early
+  /// exit stays gated off, except for a stuck-at past `converge_from_`,
+  /// where the golden bit already holds the stuck value for good.
   void drive_fault() {
     const FaultSpec& f = *fault_;
     if (cycle_ < f.cycle) return;
@@ -204,10 +319,12 @@ class Machine {
       if (cycle_ >= next_ckpt_) {
         ctx_.record->checkpoints.push_back(ctx_.capture(cycle_, cta_, true));
         next_ckpt_ = cycle_ + ctx_.interval;
+        if constexpr (kLogged) close_oracle_epoch();
       }
       ctx_.record->digest_at.emplace(cycle_, timeline_digest());
     }
-    if (ctx_.reference && !fault_pending_ && cycle_ >= next_check_) {
+    if (ctx_.reference && (!fault_pending_ || cycle_ >= converge_from_) &&
+        cycle_ >= next_check_) {
       const auto it = ctx_.reference->digest_at.find(cycle_);
       if (it != ctx_.reference->digest_at.end() &&
           it->second == timeline_digest())
@@ -216,7 +333,21 @@ class Machine {
     }
   }
 
-  ModuleState& module_of(Module m) {
+  /// Ends an oracle epoch at a ladder rung: every bit changed so far became
+  /// quiet before this quiescent point. Epochs stop closing once the index
+  /// would not fit the oracle's byte; later changes then count as never
+  /// quiet.
+  void close_oracle_epoch() {
+    GoldenTrace& trace = *ctx_.record;
+    if (trace.quiet_cycle.size() >= FaultSiteOracle::kNoisy) return;
+    const auto epoch = static_cast<std::uint8_t>(trace.quiet_cycle.size());
+    trace.quiet_cycle.push_back(cycle_);
+    for (std::size_t m = 0; m < kNumModules; ++m)
+      module_of(static_cast<Module>(m))
+          .drain_changes(trace.oracle[m].quiet_epoch, epoch);
+  }
+
+  BankT& module_of(Module m) {
     switch (m) {
       case Module::Fp32Fu: return fpfu_;
       case Module::IntFu: return intfu_;
@@ -228,7 +359,7 @@ class Machine {
     return pipe_;
   }
 
-  Opcode read_op(FieldRef f, ModuleState& st) {
+  Opcode read_op(FieldRef f, BankT& st) {
     const std::uint64_t v = st.get(f);
     if (v >= isa::kNumOpcodes) throw TrapExc{"illegal opcode"};
     return static_cast<Opcode>(v);
@@ -1267,12 +1398,12 @@ class Machine {
     }
   }
 
-  ModuleState& sched_;
-  ModuleState& intfu_;
-  ModuleState& fpfu_;
-  ModuleState& sfu_;
-  ModuleState& sfuctl_;
-  ModuleState& pipe_;
+  Bank sched_;
+  Bank intfu_;
+  Bank fpfu_;
+  Bank sfu_;
+  Bank sfuctl_;
+  Bank pipe_;
   TrackedArray<std::uint32_t>& global_;
   TrackedArray<std::uint32_t>& regs_;
   TrackedArray<std::uint8_t>& preds_;
@@ -1286,11 +1417,15 @@ class Machine {
 
   std::uint64_t cycle_ = 0;
   bool fault_pending_ = true;
+  /// First cycle at which a still-pending fault may take the convergence
+  /// exit (see the constructor).
+  std::uint64_t converge_from_ = kNeverCycle;
   unsigned cta_ = 0;
   std::uint64_t next_ckpt_ = 0;
   std::uint64_t next_check_ = 0;
   std::size_t capture_idx_ = 0;
 };
+
 
 }  // namespace
 
@@ -1298,6 +1433,27 @@ const SmCheckpoint* GoldenTrace::floor(std::uint64_t c) const {
   for (auto it = checkpoints.rbegin(); it != checkpoints.rend(); ++it)
     if (it->quiescent && it->cycle <= c) return &*it;
   return nullptr;
+}
+
+std::uint64_t GoldenTrace::quiet_from(Module m, std::size_t bit,
+                                      bool value) const {
+  const FaultSiteOracle& o = oracle[static_cast<std::size_t>(m)];
+  if (o.quiet_epoch.empty() || o.final_bits.get(bit) != value)
+    return kNeverCycle;
+  const std::uint8_t epoch = o.quiet_epoch[bit];
+  return epoch == FaultSiteOracle::kNoisy ? kNeverCycle : quiet_cycle[epoch];
+}
+
+bool GoldenTrace::decides_masked(const FaultSpec& fault) const {
+  const FaultSiteOracle& o = oracle[static_cast<std::size_t>(fault.module)];
+  if (o.last_read.empty()) return false;
+  const std::size_t field = layouts().of(fault.module).field_index(fault.bit);
+  if (o.last_read[field] <= fault.cycle) return true;  // (a) dead field
+  const bool stuck = fault.model == FaultModel::StuckAt0 ||
+                     fault.model == FaultModel::StuckAt1;
+  return stuck && quiet_from(fault.module, fault.bit,
+                             fault.model == FaultModel::StuckAt1) <=
+                      fault.cycle;  // (b) no-op stuck-at
 }
 
 Sm::Sm(std::size_t global_words)
@@ -1427,8 +1583,9 @@ RunResult Sm::execute(const isa::Program& prog, const GridDims& dims,
   const std::uint64_t bound =
       max_cycles != 0 ? max_cycles
                       : (fault ? kFaultyRunCycleCap : kUnlimitedCycles);
-  Machine m(sched_, intfu_, fpfu_, sfu_, sfuctl_, pipe_, global_, regs_,
-            preds_, shared_, prog, dims, fault, bound, kPlainRun);
+  Machine<ModuleState&> m(sched_, intfu_, fpfu_, sfu_, sfuctl_, pipe_,
+                          global_, regs_, preds_, shared_, prog, dims, fault,
+                          bound, kPlainRun);
   return m.run();
 }
 
@@ -1450,8 +1607,9 @@ RunResult Sm::run(const isa::Program& prog, const GridDims& dims,
   RunCtx ctx;
   ctx.liveness = &liveness;
   const std::uint64_t bound = max_cycles != 0 ? max_cycles : kUnlimitedCycles;
-  Machine m(sched_, intfu_, fpfu_, sfu_, sfuctl_, pipe_, global_, regs_,
-            preds_, shared_, prog, dims, std::nullopt, bound, ctx);
+  Machine<ModuleState&> m(sched_, intfu_, fpfu_, sfu_, sfuctl_, pipe_,
+                          global_, regs_, preds_, shared_, prog, dims,
+                          std::nullopt, bound, ctx);
   RunResult r = m.run();
   liveness.finalize(r.cycles);
   return r;
@@ -1471,6 +1629,12 @@ RunResult Sm::run_traced(const isa::Program& prog, const GridDims& dims,
   enable_digest_tracking();
   trace.checkpoints.clear();
   trace.digest_at.clear();
+  trace.quiet_cycle.clear();
+  for (std::size_t m = 0; m < kNumModules; ++m) {
+    const std::size_t bits = bank(static_cast<Module>(m)).size();
+    trace.oracle[m] = FaultSiteOracle{};
+    trace.oracle[m].quiet_epoch.assign(bits, 0);
+  }
   std::sort(capture_at.begin(), capture_at.end());
   sched_.reset();
   intfu_.reset();
@@ -1486,10 +1650,13 @@ RunResult Sm::run_traced(const isa::Program& prog, const GridDims& dims,
   ctx.capture = [this](std::uint64_t cy, unsigned ct, bool q) {
     return snap(cy, ct, q);
   };
-  Machine m(sched_, intfu_, fpfu_, sfu_, sfuctl_, pipe_, global_, regs_,
-            preds_, shared_, prog, dims, std::nullopt,
-            max_cycles == 0 ? kUnlimitedCycles : max_cycles, ctx);
+  Machine<LoggedBank> m(LoggedBank(sched_), LoggedBank(intfu_),
+                        LoggedBank(fpfu_), LoggedBank(sfu_),
+                        LoggedBank(sfuctl_), LoggedBank(pipe_), global_, regs_,
+                        preds_, shared_, prog, dims, std::nullopt,
+                        max_cycles == 0 ? kUnlimitedCycles : max_cycles, ctx);
   trace.result = m.run();
+  m.fold_oracle();
   return trace.result;
 }
 
@@ -1511,9 +1678,10 @@ RunResult Sm::resume_with_fault(const isa::Program& prog, const GridDims& dims,
   ctx.resume_from = &from;
   ctx.reference = golden;
   ctx.check_interval = std::max<std::uint64_t>(1, check_interval);
-  Machine m(sched_, intfu_, fpfu_, sfu_, sfuctl_, pipe_, global_, regs_,
-            preds_, shared_, prog, dims, fault,
-            max_cycles == 0 ? kFaultyRunCycleCap : max_cycles, ctx);
+  Machine<ModuleState&> m(sched_, intfu_, fpfu_, sfu_, sfuctl_, pipe_,
+                          global_, regs_, preds_, shared_, prog, dims, fault,
+                          max_cycles == 0 ? kFaultyRunCycleCap : max_cycles,
+                          ctx);
   return m.run();
 }
 

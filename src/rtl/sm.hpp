@@ -214,9 +214,27 @@ struct SmCheckpoint {
   TrackedArray<std::uint8_t>::Snapshot preds;
 };
 
+/// What the golden run did to one module's flip-flops, condensed so that a
+/// trial can be decided Masked before it runs (see GoldenTrace).
+struct FaultSiteOracle {
+  /// Per field (layout order): the last golden cycle at which the machine
+  /// read it, 0 when it never did.
+  std::vector<std::uint32_t> last_read;
+  /// Per bit: index into GoldenTrace::quiet_cycle of the first epoch end
+  /// after the bit's last golden value change; kNoisy when it still changed
+  /// after the last epoch end. A byte instead of a cycle keeps the oracle
+  /// of all six banks under 32 KB, at most one ladder rung coarser.
+  std::vector<std::uint8_t> quiet_epoch;
+  /// The bank's bits when the golden run ended.
+  BitVector final_bits;
+
+  static constexpr std::uint8_t kNoisy = 255;
+};
+
 /// Golden-run acceleration artifact: a ladder of resumable checkpoints plus
-/// the digest timeline faulty trials compare against to exit early. Built
-/// once per campaign and shared read-only by every trial.
+/// the digest timeline faulty trials compare against to exit early, and the
+/// fault-site oracle that decides provably masked trials without running
+/// them. Built once per campaign and shared read-only by every trial.
 struct GoldenTrace {
   RunResult result;
   /// Checkpoints in capture order (ascending cycle). Contains one resumable
@@ -227,10 +245,30 @@ struct GoldenTrace {
   /// When two quiescent points share a cycle (a CTA boundary), the first
   /// wins; a missed lookup only delays an early exit, never causes one.
   std::unordered_map<std::uint64_t, std::uint64_t> digest_at;
+  /// Fault-site oracle per module (indexed by Module). Left empty — it then
+  /// decides nothing — when the golden run lasts 2^32 cycles or more.
+  std::array<FaultSiteOracle, kNumModules> oracle;
+  /// Cycle at which each oracle epoch ended: the ladder rungs in order, the
+  /// first at cycle 0, at most FaultSiteOracle::kNoisy of them.
+  std::vector<std::uint64_t> quiet_cycle;
 
   /// Latest resumable checkpoint with cycle <= c (nullptr only when the
   /// trace is empty: a traced run always records a rung at cycle 0).
   const SmCheckpoint* floor(std::uint64_t c) const;
+
+  /// First cycle from which the golden run holds `value` in (`m`, `bit`)
+  /// until it ends; UINT64_MAX when the oracle cannot show that it does.
+  std::uint64_t quiet_from(Module m, std::size_t bit, bool value) const;
+
+  /// True when the oracle proves `fault` Masked: the faulty run would
+  /// follow the golden trajectory to the end. A fault first acts in the
+  /// clock edge that leaves `fault.cycle`, after every read the machine
+  /// makes at that cycle. Two rules decide:
+  ///  (a) any model: the golden run never reads the faulted field after
+  ///      `fault.cycle`, so no computation ever sees the corrupted bit;
+  ///  (b) stuck-at-v: the golden bit already holds v from `fault.cycle` to
+  ///      the end, so every force is a no-op.
+  bool decides_masked(const FaultSpec& fault) const;
 };
 
 /// Cycle-level model of one G80-style streaming multiprocessor with
@@ -299,8 +337,10 @@ class Sm {
   /// Golden run that additionally records the acceleration trace: one
   /// resumable checkpoint-ladder rung at least every `checkpoint_interval`
   /// cycles (always including cycle 0) and the digest timeline at every
-  /// scheduler quiescent point. `capture_at` requests extra restorable
-  /// mid-instruction checkpoints at exact cycle numbers (a testing hook).
+  /// scheduler quiescent point, plus the fault-site oracle (per field the
+  /// last read, per bit the epoch after its last change, the final bits).
+  /// `capture_at` requests extra restorable mid-instruction checkpoints at
+  /// exact cycle numbers (a testing hook).
   RunResult run_traced(const isa::Program& prog, const GridDims& dims,
                        GoldenTrace& trace, std::uint64_t checkpoint_interval,
                        std::uint64_t max_cycles = 0,
@@ -311,9 +351,11 @@ class Sm {
   /// the fault-free prefix from reset; the fault fires on exactly the same
   /// cycle as it would in a full replay. When `golden` is given, the run
   /// additionally compares its state digest against the golden timeline
-  /// every `check_interval` cycles once the fault is in, and returns
-  /// `converged = true` (status Ok) the moment the full machine state
-  /// coincides with the golden run's at the same cycle.
+  /// every `check_interval` cycles once the fault is in (for a stuck-at
+  /// still in its window: once golden's oracle shows the bit holding the
+  /// stuck value for good), and returns `converged = true` (status Ok) the
+  /// moment the full machine state coincides with the golden run's at the
+  /// same cycle.
   RunResult resume_with_fault(const isa::Program& prog, const GridDims& dims,
                               const FaultSpec& fault, std::uint64_t max_cycles,
                               const SmCheckpoint& from,

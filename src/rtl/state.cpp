@@ -48,6 +48,10 @@ void ModuleState::load(const BitVector& bits, std::uint64_t digest) {
 }
 
 const FieldInfo& StateLayout::field_at(std::size_t bit) const {
+  return fields_[field_index(bit)];
+}
+
+std::size_t StateLayout::field_index(std::size_t bit) const {
   // Binary search over the sorted field offsets.
   std::size_t lo = 0, hi = fields_.size();
   while (lo + 1 < hi) {
@@ -59,7 +63,7 @@ const FieldInfo& StateLayout::field_at(std::size_t bit) const {
   }
   if (fields_.empty() || bit >= bits_)
     throw std::out_of_range("StateLayout::field_at");
-  return fields_[lo];
+  return lo;
 }
 
 }  // namespace gpufi::rtl

@@ -67,6 +67,9 @@ class StateLayout {
 
   /// Field containing the given bit (for reports). Throws if out of range.
   const FieldInfo& field_at(std::size_t bit) const;
+  /// Index into fields() of the field containing `bit`. Throws if out of
+  /// range.
+  std::size_t field_index(std::size_t bit) const;
 
   const std::vector<FieldInfo>& fields() const { return fields_; }
 
@@ -142,6 +145,14 @@ class ModuleState {
       digest_ ^= state_digest_mix(salt_, f.offset, old) ^
                  state_digest_mix(salt_, f.offset, v);
     }
+    bits_.set_field(f.offset, f.width, v);
+  }
+  /// set() for a caller that already read the field: `old` is its current
+  /// value and differs from `v`.
+  void replace(FieldRef f, std::uint64_t old, std::uint64_t v) {
+    if (track_)
+      digest_ ^= state_digest_mix(salt_, f.offset, old) ^
+                 state_digest_mix(salt_, f.offset, v);
     bits_.set_field(f.offset, f.width, v);
   }
   bool get_flag(FieldRef f) const { return get(f) != 0; }

@@ -115,8 +115,9 @@ namespace {
 /// trial's private Rng, replays the workload with the fault armed, and
 /// accumulates the classification into `shard`. With `trace` given, the
 /// fault-free prefix is fast-forwarded from the golden checkpoint ladder
-/// (and, with `early_exit`, the run stops the instant the machine state
-/// re-converges with the golden timeline) — same outcome, fewer cycles.
+/// (and, with `early_exit`, a trial the golden oracle proves Masked is not
+/// run at all, and a run stops the instant the machine state re-converges
+/// with the golden timeline) — same outcome, fewer cycles.
 void run_one_fault(rtl::Sm& sm, const Workload& w, const CampaignConfig& cfg,
                    const rtl::StateLayout& layout,
                    const std::vector<std::uint32_t>& golden_out,
@@ -149,14 +150,21 @@ void run_one_fault(rtl::Sm& sm, const Workload& w, const CampaignConfig& cfg,
                          : "gpufi_attr_unresolved_total");
   auto& site_counts = shard.attribution[attr::site_key(site)];
   ++site_counts.hits;
+
+  // Early exit, first chance: the golden oracle proves the trial Masked
+  // before anything is restored or simulated.
+  const bool decided = early_exit && trace->decides_masked(fault);
   rtl::RunResult run;
-  if (trace) {
+  if (decided) {
+    run.converged = true;
+  } else if (trace) {
     if (obs_on) obs::count("gpufi_rtl_checkpoint_restores_total");
     // Acceleration gating across models: floor() only returns rungs at
     // cycles <= fault.cycle, i.e. strictly before the fault window opens,
     // so the fast-forwarded prefix is fault-free for every model; the
     // convergence early-exit is gated inside the machine on the window
-    // having closed (a permanent fault therefore never early-exits).
+    // having closed or, for a stuck-at, on the golden bit having settled
+    // at the stuck value.
     const rtl::SmCheckpoint* from = trace->floor(fault.cycle);
     if (!from) throw std::logic_error("empty golden checkpoint ladder");
     run = sm.resume_with_fault(w.program, w.dims, fault, watchdog, *from,
@@ -171,14 +179,16 @@ void run_one_fault(rtl::Sm& sm, const Workload& w, const CampaignConfig& cfg,
   }
 
   if (run.converged) {
-    // Full-state convergence: the rest of the run is provably the golden
-    // suffix, so the output would compare equal word for word.
+    // Decided by the oracle, or full-state convergence: the rest of the run
+    // is provably the golden suffix, so the output would compare equal word
+    // for word.
     ++shard.injected;
     ++shard.masked;
     ++shard.converged_early;
     ++site_counts.masked;
     if (obs_on) {
-      obs::count("gpufi_rtl_converged_early_total");
+      obs::count(obs::label("gpufi_rtl_converged_early_total", "how",
+                            decided ? "oracle" : "digest"));
       obs::count(outcome_metric(cfg, Outcome::Masked));
     }
     return;

@@ -82,9 +82,10 @@ struct Workload {
 enum class Acceleration : std::uint8_t {
   None,        ///< every trial replays the workload from reset
   Checkpoint,  ///< trials fast-forward from the golden checkpoint ladder
-  /// Checkpoint fast-forward plus golden-state-convergence early exit: a
-  /// trial whose full machine state re-coincides with the golden run's is
-  /// terminated immediately as Masked.
+  /// Checkpoint fast-forward plus early exit: a trial the golden fault-site
+  /// oracle proves Masked is not simulated at all, and a trial whose full
+  /// machine state re-coincides with the golden run's is terminated
+  /// immediately as Masked.
   CheckpointEarlyExit,
 };
 
@@ -101,7 +102,9 @@ struct CampaignConfig {
   /// differ only here bombard exactly the same fault sites.
   rtl::FaultModel fault_model = rtl::FaultModel::Transient;
   /// Fault-window length for the non-transient models; 0 = permanent (the
-  /// window never closes, so accelerated trials never early-exit).
+  /// window never closes). Permanent trials still early-exit when the
+  /// golden fault-site oracle decides them (dead field, no-op stuck-at) or
+  /// a stuck-at converges after golden's bit settles at the stuck value.
   std::uint64_t fault_duration = 0;
   /// IntermittentBurst re-flip period in cycles.
   std::uint64_t burst_period = 8;
@@ -152,8 +155,8 @@ struct CampaignConfig {
 struct GoldenContext {
   std::uint64_t golden_cycles = 0;
   std::vector<std::uint32_t> golden_out;
-  /// Checkpoint ladder + digest timeline; null when prepared with
-  /// Acceleration::None.
+  /// Checkpoint ladder, digest timeline and fault-site oracle; null when
+  /// prepared with Acceleration::None.
   std::shared_ptr<const rtl::GoldenTrace> trace;
   /// Per-cycle instruction liveness of the golden run, recorded during the
   /// plain (untraced) golden execution so it is identical for every
@@ -175,9 +178,10 @@ struct CampaignResult {
   std::size_t sdc_multi = 0;   ///< SDCs corrupting more than one thread
   std::size_t due = 0;
   std::uint64_t golden_cycles = 0;
-  /// Of the masked trials, how many were cut short by golden-state
-  /// convergence (telemetry only — excluded from equivalence comparisons,
-  /// since the naive path never converges early).
+  /// Of the masked trials, how many ended early at checkpoint+early_exit:
+  /// decided by the golden fault-site oracle without being simulated, or
+  /// cut short by golden-state convergence. Telemetry only — excluded from
+  /// equivalence comparisons, since the other levels never end early.
   std::size_t converged_early = 0;
 
   /// Detailed records (always kept for SDCs).

@@ -4,8 +4,13 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <sstream>
+#include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
 
+#include "mutants.hpp"
 #include "nn/gpu_infer.hpp"
 #include "nn/network.hpp"
 
@@ -63,6 +68,118 @@ TEST(Network, SerializationRoundTrip) {
   EXPECT_EQ(loaded.convs[1].weights, net.convs[1].weights);
   EXPECT_EQ(loaded.fcs[0].bias, net.fcs[0].bias);
   std::remove(path.c_str());
+}
+
+/// A network small enough to fuzz quickly that still has every layer
+/// kind: conv with pooling, conv without, two fcs.
+Network tiny_network() {
+  Rng rng(6);
+  Network net;
+  net.name = "tiny";
+  net.in_c = 1;
+  net.in_h = net.in_w = 8;
+  const auto conv = [&](unsigned in_c, unsigned side, unsigned out_c,
+                        unsigned k, bool pool) {
+    ConvLayer c;
+    c.in_c = in_c;
+    c.in_h = c.in_w = side;
+    c.out_c = out_c;
+    c.k = k;
+    c.pool = pool;
+    c.weights.resize(std::size_t{out_c} * in_c * k * k);
+    for (auto& w : c.weights) w = static_cast<float>(rng.uniform()) - 0.5f;
+    c.bias.assign(out_c, 0.25f);
+    return c;
+  };
+  net.convs.push_back(conv(1, 8, 2, 3, true));   // -> 2x3x3
+  net.convs.push_back(conv(2, 3, 3, 2, false));  // -> 3x2x2
+  for (const auto [in_n, out_n] : {std::pair{12u, 4u}, std::pair{4u, 3u}}) {
+    FcLayer f;
+    f.in_n = in_n;
+    f.out_n = out_n;
+    f.weights.assign(std::size_t{in_n} * out_n, 0.5f);
+    f.bias.assign(out_n, -0.125f);
+    net.fcs.push_back(std::move(f));
+  }
+  return net;
+}
+
+std::string encode(const Network& net) {
+  std::ostringstream os;
+  net.save(os);
+  return os.str();
+}
+
+TEST(Network, StreamRoundTripIsByteExact) {
+  const auto net = tiny_network();
+  const std::string bytes = encode(net);
+  std::istringstream is(bytes);
+  EXPECT_EQ(encode(Network::load(is)), bytes);
+}
+
+TEST(Network, LoaderRejectsMutantsOrSavesThemBackExactly) {
+  // The .gfnn loader parses untrusted bytes: every seeded mutant is either
+  // rejected with std::runtime_error, or decodes to a network that saves
+  // back to the mutant byte for byte and runs host_forward in bounds.
+  const std::string bytes = encode(tiny_network());
+  fuzz::for_each_mutant(
+      bytes, 3000, std::string_view("\x00\x01\x02\x03\x04\x08\x0c\xff", 8),
+      [](const std::string& m, int i) {
+        std::istringstream is(m);
+        Network net;
+        try {
+          net = Network::load(is);
+        } catch (const std::runtime_error&) {
+          return false;
+        }
+        EXPECT_EQ(encode(net), m)
+            << "mutant " << i << " loaded but does not save back";
+        EXPECT_EQ(host_forward(net, Tensor(net.in_c, net.in_h, net.in_w))
+                      .size(),
+                  net.output_size());
+        return true;
+      });
+}
+
+TEST(Network, LoaderRejectsBrokenShapeChains) {
+  const auto reject = [](const Network& net) {
+    std::istringstream is(encode(net));
+    EXPECT_THROW(Network::load(is), std::runtime_error);
+  };
+  auto net = tiny_network();
+  net.convs[1].in_h = 4;  // previous layer outputs 3x3
+  reject(net);
+  net = tiny_network();
+  net.convs[0].weights.pop_back();  // out_c * in_c * k^2 - 1 weights
+  reject(net);
+  net = tiny_network();
+  net.fcs[0].in_n = 13;  // previous layer outputs 12 values
+  net.fcs[0].weights.assign(13 * 4, 0.0f);
+  reject(net);
+  net = tiny_network();
+  net.fcs[1].bias.push_back(0.0f);
+  reject(net);
+  net = tiny_network();
+  net.convs[0].k = 9;  // larger than the 8x8 input
+  reject(net);
+}
+
+TEST(Network, ShippedModelsLoadAndRun) {
+  // The models committed under gpufi_data/ are the ones `gpufi cnn` loads
+  // by default; they must parse, fit the campaign inputs and be trained.
+  const std::string dir = GPUFI_TEST_DATA_DIR;
+  const auto lenet = Network::load_file(dir + "/lenet.gfnn");
+  const auto yolo = Network::load_file(dir + "/yololite.gfnn");
+  ASSERT_EQ(host_forward(lenet, Tensor(1, 28, 28)).size(), 10u);
+  ASSERT_EQ(host_forward(yolo, Tensor(1, 32, 32)).size(),
+            kDetChannels * kDetGrid * kDetGrid);
+  Rng rng(777);
+  unsigned ok = 0;
+  for (unsigned i = 0; i < 100; ++i) {
+    const auto s = make_digit(rng);
+    ok += classify(host_forward(lenet, s.image)) == s.label;
+  }
+  EXPECT_GE(ok, 80u);
 }
 
 TEST(Dataset, DigitsAreDeterministicAndLabelled) {

@@ -4,7 +4,9 @@
 // resume-equals-fresh-replay guarantee the campaign acceleration rests on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -281,6 +283,86 @@ TEST(ResumeTest, ConvergedTrialReportsGoldenOutcome) {
   EXPECT_TRUE(converged_once)
       << "no FP32 flip converged in 100 draws -- early exit never fires";
 }
+
+// -------------------------------------------------------- fault-site oracle
+
+class FaultSiteOracleTest : public ::testing::TestWithParam<isa::Opcode> {};
+
+TEST_P(FaultSiteOracleTest, DecidedDrawsAreMaskedInFullReplay) {
+  // Property: every fault the golden oracle decides before a run is Masked
+  // when replayed from reset with no acceleration (the reference path):
+  // status Ok and the golden output word for word. Draws cover all six
+  // banks, all four models, permanent and windowed faults.
+  constexpr int kDraws = 2000;
+  const isa::Opcode op = GetParam();
+  Sm sm;
+  const auto w =
+      rtlfi::make_microbenchmark(op, rtlfi::InputRange::Medium, 5);
+  w.setup(sm);
+  const auto plain = sm.run(w.program, w.dims);
+  ASSERT_EQ(plain.status, RunStatus::Ok);
+  const auto golden_global = sm.global();
+
+  // run_traced throws if the golden run read any FieldRef that does not
+  // start a registered field: rule (a) keys reads by field.
+  GoldenTrace trace;
+  sm.clear_global();
+  w.setup(sm);
+  ASSERT_NO_THROW(sm.run_traced(w.program, w.dims, trace,
+                                std::max<std::uint64_t>(
+                                    1, plain.cycles / 24)));
+  ASSERT_EQ(trace.result.cycles, plain.cycles);
+  for (std::size_t m = 0; m < kNumModules; ++m) {
+    const auto& layout = layouts().of(static_cast<Module>(m));
+    EXPECT_EQ(trace.oracle[m].last_read.size(), layout.fields().size());
+    EXPECT_EQ(trace.oracle[m].quiet_epoch.size(), layout.bits());
+    EXPECT_EQ(trace.oracle[m].final_bits,
+              sm.module_state(static_cast<Module>(m)).bits());
+  }
+
+  Rng rng(rng_derive(77, static_cast<std::uint64_t>(op)));
+  std::size_t decided[kNumFaultModels] = {};
+  std::size_t live_field_stuck_ats = 0;  // decided by rule (b) alone
+  for (int i = 0; i < kDraws; ++i) {
+    FaultSpec f;
+    f.module = static_cast<Module>(rng.below(kNumModules));
+    f.bit = static_cast<std::uint32_t>(
+        rng.below(layouts().of(f.module).bits()));
+    f.cycle = rng.below(plain.cycles);
+    f.model = static_cast<FaultModel>(rng.below(kNumFaultModels));
+    f.duration = rng.below(2) == 0 ? 0 : 1 + rng.below(64);
+    f.period = 1 + rng.below(8);
+    if (!trace.decides_masked(f)) continue;
+    ++decided[static_cast<std::size_t>(f.model)];
+    const auto& o = trace.oracle[static_cast<std::size_t>(f.module)];
+    if (o.last_read[layouts().of(f.module).field_index(f.bit)] > f.cycle)
+      ++live_field_stuck_ats;
+    sm.clear_global();
+    w.setup(sm);
+    const auto run = sm.run_with_fault(w.program, w.dims, f,
+                                       plain.cycles * 4 + 4096);
+    ASSERT_EQ(run.status, RunStatus::Ok)
+        << module_name(f.module) << " bit " << f.bit << " @" << f.cycle
+        << " " << fault_model_name(f.model);
+    ASSERT_EQ(sm.global(), golden_global)
+        << module_name(f.module) << " bit " << f.bit << " @" << f.cycle
+        << " " << fault_model_name(f.model);
+  }
+  for (std::size_t m = 0; m < kNumFaultModels; ++m)
+    EXPECT_GT(decided[m], 0u)
+        << fault_model_name(static_cast<FaultModel>(m));
+  EXPECT_GT(live_field_stuck_ats, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fig4Microbenchmarks, FaultSiteOracleTest,
+    ::testing::Values(isa::Opcode::FADD, isa::Opcode::FMUL, isa::Opcode::FFMA,
+                      isa::Opcode::IADD, isa::Opcode::IMUL, isa::Opcode::IMAD,
+                      isa::Opcode::FSIN, isa::Opcode::FEXP, isa::Opcode::GLD,
+                      isa::Opcode::GST, isa::Opcode::BRA, isa::Opcode::ISETP),
+    [](const ::testing::TestParamInfo<isa::Opcode>& info) {
+      return std::string(isa::mnemonic(info.param));
+    });
 
 }  // namespace
 }  // namespace gpufi::rtl

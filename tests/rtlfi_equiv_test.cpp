@@ -7,6 +7,7 @@
 
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "attr/attr.hpp"
@@ -40,6 +41,29 @@ std::vector<Case> cases() {
   // t-MxM exercises shared memory, barriers and multi-instruction control.
   cs.push_back(Case{make_tmxm(TileKind::Random, 5), rtl::Module::Scheduler,
                     isa::Opcode::FFMA, 100});
+  return cs;
+}
+
+/// The 12 Fig. 4 opcode / natural-module pairs at `n` faults each.
+std::vector<Case> fig04_cases(std::size_t n) {
+  const std::pair<isa::Opcode, rtl::Module> pairs[] = {
+      {isa::Opcode::FADD, rtl::Module::Fp32Fu},
+      {isa::Opcode::FMUL, rtl::Module::Fp32Fu},
+      {isa::Opcode::FFMA, rtl::Module::Fp32Fu},
+      {isa::Opcode::IADD, rtl::Module::IntFu},
+      {isa::Opcode::IMUL, rtl::Module::IntFu},
+      {isa::Opcode::IMAD, rtl::Module::IntFu},
+      {isa::Opcode::FSIN, rtl::Module::Sfu},
+      {isa::Opcode::FEXP, rtl::Module::Sfu},
+      {isa::Opcode::GLD, rtl::Module::PipelineRegs},
+      {isa::Opcode::GST, rtl::Module::PipelineRegs},
+      {isa::Opcode::BRA, rtl::Module::Scheduler},
+      {isa::Opcode::ISETP, rtl::Module::Scheduler},
+  };
+  std::vector<Case> cs;
+  for (const auto& [op, module] : pairs)
+    cs.push_back(Case{make_microbenchmark(op, InputRange::Medium, 11), module,
+                      op, n});
   return cs;
 }
 
@@ -149,14 +173,13 @@ TEST(CampaignEquivalence, FaultModelsInvariantAcrossAccelAndJobs) {
   // The determinism contract extends to every fault model: counters,
   // records and the distilled database bytes must be byte-identical across
   // acceleration levels and job counts for stuck-at and burst campaigns
-  // too. A smaller case subset keeps the watchdog-bound stuck-at runs
-  // affordable.
-  const auto all = cases();
-  const Case model_cases[] = {all[0], all[5]};  // FFMA/fp32, BRA/sched
+  // too, on every Fig. 4 site — the oracle's skip rules must agree with
+  // the full replay wherever they fire. Few faults per site keep the
+  // watchdog-bound stuck-at runs affordable.
   const rtl::FaultModel models[] = {rtl::FaultModel::StuckAt0,
                                     rtl::FaultModel::StuckAt1,
                                     rtl::FaultModel::IntermittentBurst};
-  for (const auto& c : model_cases) {
+  for (const auto& c : fig04_cases(24)) {
     for (const auto model : models) {
       SCOPED_TRACE(std::string(rtl::fault_model_name(model)));
       const CampaignResult base =
@@ -176,24 +199,51 @@ TEST(CampaignEquivalence, FaultModelsInvariantAcrossAccelAndJobs) {
   }
 }
 
-TEST(CampaignEquivalence, PermanentFaultsNeverEarlyExit) {
-  // A permanent stuck-at never quiesces, so the golden-convergence check
-  // must never fire — early exit is only sound once the fault window has
-  // closed.
+TEST(CampaignEquivalence, EarlyExitFiresForEveryFaultModel) {
+  // Permanent faults early-exit too: the golden oracle decides dead-field
+  // and no-op stuck-at trials before they run, and a stuck-at whose golden
+  // bit settles at the stuck value may converge in the run. The
+  // equivalence tests above would hold vacuously if none of this fired.
   const auto cs = cases();
   for (const auto model :
-       {rtl::FaultModel::StuckAt0, rtl::FaultModel::StuckAt1}) {
+       {rtl::FaultModel::Transient, rtl::FaultModel::StuckAt0,
+        rtl::FaultModel::StuckAt1, rtl::FaultModel::IntermittentBurst}) {
+    SCOPED_TRACE(std::string(rtl::fault_model_name(model)));
     const auto r =
         run_mode(cs.front(), Acceleration::CheckpointEarlyExit, 1, model);
-    EXPECT_EQ(r.converged_early, 0u);
+    EXPECT_GT(r.converged_early, 0u);
+    EXPECT_LE(r.converged_early, r.masked);
+    EXPECT_EQ(run_mode(cs.front(), Acceleration::Checkpoint, 1, model)
+                  .converged_early,
+              0u);
   }
-  // A *windowed* stuck-at (duration bounded) may converge after the window
-  // closes; with a 1-cycle window it behaves nearly transiently and the
-  // early exit must fire again.
+  // A *windowed* stuck-at (duration bounded) converges after the window
+  // closes as well.
   const auto windowed = run_mode(
       cs.front(), Acceleration::CheckpointEarlyExit, 1,
       rtl::FaultModel::StuckAt1, /*duration=*/1);
   EXPECT_GT(windowed.converged_early, 0u);
+}
+
+TEST(CampaignEquivalence, ConvergedEarlyMetricSaysHow) {
+  // gpufi_rtl_converged_early_total splits by how a trial ended early:
+  // how="oracle" was decided before it ran, how="digest" converged in the
+  // run. A permanent stuck-at campaign takes both ways, and together they
+  // count every early exit.
+  obs::set_enabled(true);
+  obs::Registry::global().reset();
+  const auto cs = cases();
+  const auto r = run_mode(cs.front(), Acceleration::CheckpointEarlyExit, 4,
+                          rtl::FaultModel::StuckAt1);
+  const auto& reg = obs::Registry::global();
+  const auto oracle = reg.counter_value(
+      obs::label("gpufi_rtl_converged_early_total", "how", "oracle"));
+  const auto digest = reg.counter_value(
+      obs::label("gpufi_rtl_converged_early_total", "how", "digest"));
+  EXPECT_GT(oracle, 0u);
+  EXPECT_GT(digest, 0u);
+  EXPECT_EQ(oracle + digest, r.converged_early);
+  obs::Registry::global().reset();
 }
 
 TEST(CampaignEquivalence, ObservabilityOnOffByteIdentity) {
